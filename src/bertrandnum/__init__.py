@@ -25,12 +25,15 @@ from .words import (
     parse_word,
     quasi_to_greedy,
     shift,
+    suffixes_at_most,
 )
 from .realbase import (
+    VARIANTS,
     ParryClass,
     RealBase,
     base_from_expansion,
     expansion_polynomial,
+    generating_word,
     parse_base,
     quasi_greedy_of,
     shift_member,
@@ -48,7 +51,7 @@ from .bertrand import (
     variants_coincide,
     verify_counting_identity,
 )
-from .automata import Dfa, EquivReport, build_shift_dfa, dfa_equiv_language
+from .automata import Dfa, build_shift_dfa
 from .analysis import (
     EntropyReport,
     LexMaxConvergenceReport,

@@ -16,8 +16,7 @@ from .automata import Dfa
 from .errors import NumerationError
 from .intervals import Interval
 from .numsys import NumSys
-from .realbase import DEFAULT_DEPTH, RealBase, quasi_greedy_of
-from .words import EPWord
+from .realbase import DEFAULT_DEPTH, RealBase, generating_word, quasi_greedy_of
 
 _MAX_REFINEMENTS = 512
 
@@ -44,15 +43,6 @@ def _enclosure_above_one(base: RealBase, width: Fraction) -> Interval:
     raise NumerationError("could not separate the base from 1")
 
 
-def _generating_word(base: RealBase, variant: str, depth: int) -> EPWord:
-    d = base.require_parry(depth)
-    if variant == "canonical":
-        return quasi_greedy_of(d)
-    if variant == "noncanonical":
-        return d
-    raise NumerationError(f"unknown variant {variant!r}")
-
-
 def renewal_target(
     base: RealBase,
     variant: str,
@@ -70,7 +60,7 @@ def renewal_target(
 
     The enclosure is refined until it is narrower than `width`.
     """
-    word = _generating_word(base, variant, depth)
+    word = generating_word(base, variant, depth)
     pre, per = word.pre, word.per
     m, n = len(pre), len(per)
     w = Fraction(width)

@@ -15,8 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import NumerationError
-from .numsys import NumSys
-from .realbase import DEFAULT_DEPTH, RealBase, quasi_greedy_of
+from .realbase import DEFAULT_DEPTH, RealBase, generating_word, quasi_greedy_of
 from .words import DigitWord
 
 
@@ -39,9 +38,6 @@ class Dfa:
     @property
     def alphabet(self) -> tuple:
         return tuple(sorted({c for (_, c) in self.transitions}))
-
-    def step(self, state: int, digit: int):
-        return self.transitions.get((state, digit))
 
     def accepts(self, w: DigitWord) -> bool:
         q = self.initial
@@ -88,14 +84,6 @@ class Dfa:
         }
         finals = frozenset(order[q] for q in self.finals if q in order)
         return Dfa(len(order), 0, trans, finals, dict(self.meta))
-
-    def isomorphic_to(self, other: "Dfa") -> bool:
-        a, b = self.canonical(), other.canonical()
-        return (
-            a.num_states == b.num_states
-            and a.transitions == b.transitions
-            and a.finals == b.finals
-        )
 
     def minimized(self) -> "Dfa":
         """Language-equivalent minimal DFA, keeping the partial-transition
@@ -203,10 +191,8 @@ def build_shift_dfa(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) ->
     automaton is returned with meta["coincides_with_canonical"] set.
     All states are final, so the language is factorial.
     """
-    if variant not in ("canonical", "noncanonical"):
-        raise NumerationError(f"unknown variant {variant!r}")
-    d = base.require_parry(depth)
-    dstar = quasi_greedy_of(d)
+    word = generating_word(base, variant, depth)
+    dstar = quasi_greedy_of(word)  # the identity on a quasi-greedy word
     m, n = len(dstar.pre), len(dstar.per)
     size = m + n
     digits = dstar.pre + dstar.per
@@ -218,8 +204,8 @@ def build_shift_dfa(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) ->
             trans[(i, c)] = 0
     meta = {}
     if variant == "noncanonical":
-        if d.zero_tail:
-            t = d.support
+        if word.zero_tail:
+            t = word.support
             q = 0
             for c in t[:-1]:
                 q = trans[(q, c)]
@@ -231,44 +217,3 @@ def build_shift_dfa(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) ->
         else:
             meta["coincides_with_canonical"] = True
     return Dfa(size, 0, trans, frozenset(range(size)), meta)
-
-
-@dataclass
-class EquivReport:
-    max_len: int
-    first_disagreement: DigitWord | None
-
-    @property
-    def agree(self) -> bool:
-        return self.first_disagreement is None
-
-
-def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
-    """Exhaustively compare DFA acceptance with numeration-language
-    membership for all words up to max_len over the union alphabet."""
-    alphabet = sorted(set(dfa.alphabet) | set(range(s.alphabet_max + 1)))
-    # survivors of the DFA walk, word -> state
-    walk = {(): dfa.initial}
-    members_prev = {()}
-    if (dfa.initial in dfa.finals) != s.member(()):
-        return EquivReport(max_len, ())
-    for length in range(1, max_len + 1):
-        nxt = {}
-        for w, q in walk.items():
-            for c in alphabet:
-                t = dfa.transitions.get((q, c))
-                if t is not None:
-                    nxt[w + (c,)] = t
-        walk = nxt
-        accepted = {w for w, q in walk.items() if q in dfa.finals}
-        bound = s.lex_max(length)
-        members = set()
-        for tail in members_prev:
-            for c in alphabet:
-                w = (c,) + tail
-                if w <= bound:
-                    members.add(w)
-        members_prev = members
-        if accepted != members:
-            return EquivReport(max_len, min(accepted ^ members))
-    return EquivReport(max_len, None)

@@ -19,17 +19,13 @@ from .numsys import BertrandRule, NumSys, Recurrence, Violation
 from .realbase import (
     DEFAULT_DEPTH,
     RealBase,
+    _check_variant,
     base_from_expansion,
     expansion_polynomial,
-    quasi_greedy_of,
+    generating_word,
     simple_expansion_polynomial,
 )
 from .words import EPWord, epword, is_parry_valid, quasi_to_greedy
-
-
-def _check_variant(variant: str):
-    if variant not in ("canonical", "noncanonical"):
-        raise NumerationError(f"unknown variant {variant!r}")
 
 
 def build_bertrand(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> NumSys:
@@ -40,11 +36,9 @@ def build_bertrand(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> 
     greedy expansion is infinite the two coincide; the returned system
     then carries ``note`` saying so.
     """
-    _check_variant(variant)
-    d = base.require_parry(depth)
-    word = quasi_greedy_of(d) if variant == "canonical" else d
+    word = generating_word(base, variant, depth)
     s = NumSys.from_word(word)
-    if variant == "noncanonical" and not d.zero_tail:
+    if variant == "noncanonical" and not word.zero_tail:
         s.note = "coincides with the canonical system (expansion of 1 is infinite)"
     return s
 

@@ -16,7 +16,7 @@ from . import analysis, automata, bertrand
 from . import polynomials as pl
 from .errors import NumerationError
 from .numsys import parse_system
-from .realbase import parse_base, base_from_expansion
+from .realbase import VARIANTS, parse_base, base_from_expansion
 from .words import EPWord, format_epword, format_word, parse_epword, parse_word
 
 
@@ -298,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a Bertrand numeration system")
     p.add_argument("--beta", required=True)
-    p.add_argument("--variant", choices=["canonical", "noncanonical"], required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--json", metavar="PATH", help="also write the system as JSON")
     p.set_defaults(func=cmd_build)
@@ -332,13 +332,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of the recurrence")
     p.add_argument("--word", required=True)
-    p.add_argument("--variant", choices=["canonical", "noncanonical"], required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("automaton", help="automaton of the factor language")
     p.add_argument("--beta", required=True)
-    p.add_argument("--variant", choices=["canonical", "noncanonical"], required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--dot", metavar="PATH")
     p.add_argument("--json", action="store_true")
@@ -352,7 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="dominant root, renewal limit, entropy")
     p.add_argument("--system", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--variant", choices=["canonical", "noncanonical"], default="canonical")
+    p.add_argument("--variant", choices=VARIANTS, default="canonical")
     p.add_argument("--imax", type=int, default=40)
     p.add_argument("--ell", type=int, help="also probe lex-max convergence at this prefix length")
     p.add_argument("--csv", metavar="PATH")

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import NumerationError
-from .words import DigitWord, EPWord, format_epword, parse_epword
+from .words import DigitWord, EPWord, format_epword, parse_epword, suffixes_at_most
 
 _ALPHABET_PROBE = 32  # indices used when the alphabet bound must be inferred
 
@@ -56,12 +56,7 @@ class BertrandReport:
 
 
 class NumSys:
-    """A positional numeration system with lazily materialized values.
-
-    Values and cached greatest words grow monotonically (same
-    single-writer, many-reader contract as RealBase); everything else is
-    read-only.
-    """
+    """A positional numeration system with lazily materialized values."""
 
     def __init__(self, generator, alphabet_max: int | None = None):
         self.generator = generator
@@ -82,7 +77,8 @@ class NumSys:
             raise NumerationError(f"unknown generator {generator!r}")
         self._lexmax: dict[int, tuple] = {}
         self.note: str | None = None
-        self._check_materialized(0)
+        for i in range(1, len(self._u)):
+            self._check_materialized(i)
 
     # -- constructors ---------------------------------------------------------
 
@@ -130,23 +126,22 @@ class NumSys:
         self._check_materialized(i)
 
     def _check_materialized(self, i: int):
-        if i >= 1:
-            prev, cur = self._u[i - 1], self._u[i]
-            if cur <= prev:
-                raise NumerationError(
-                    f"sequence is not strictly increasing at U({i}) = {cur}"
-                )
-            q = -(-cur // prev) - 1  # ceil(cur/prev) - 1
-            if q > self._observed_alphabet_max:
-                self._observed_alphabet_max = q
-            if (
-                self._declared_alphabet_max is not None
-                and q > self._declared_alphabet_max
-            ):
-                raise NumerationError(
-                    f"declared alphabet bound {self._declared_alphabet_max} "
-                    f"contradicted at U({i})/U({i - 1})"
-                )
+        prev, cur = self._u[i - 1], self._u[i]
+        if cur <= prev:
+            raise NumerationError(
+                f"sequence is not strictly increasing at U({i}) = {cur}"
+            )
+        q = -(-cur // prev) - 1  # ceil(cur/prev) - 1
+        if q > self._observed_alphabet_max:
+            self._observed_alphabet_max = q
+        if (
+            self._declared_alphabet_max is not None
+            and q > self._declared_alphabet_max
+        ):
+            raise NumerationError(
+                f"declared alphabet bound {self._declared_alphabet_max} "
+                f"contradicted at U({i})/U({i - 1})"
+            )
 
     @property
     def alphabet_max(self) -> int:
@@ -204,21 +199,7 @@ class NumSys:
         Decided by the suffix criterion: every suffix of w must be at
         most, lexicographically, the greatest member of its length.
         """
-        w = tuple(w)
-        for i in range(1, len(w) + 1):
-            if w[len(w) - i :] > self.lex_max(i):
-                return False
-        return True
-
-    def member_direct(self, w) -> bool:
-        """Independent membership check: strip leading zeros, then compare
-        with the greedy representation of the value."""
-        w = tuple(w)
-        k = 0
-        while k < len(w) and w[k] == 0:
-            k += 1
-        stripped = w[k:]
-        return stripped == self.rep(self.val(stripped))
+        return suffixes_at_most(w, self.lex_max)
 
     # -- language-level operations ----------------------------------------------
 
@@ -272,50 +253,6 @@ class NumSys:
                     first = found[0]
                     holds_up_to = length - 1
         return BertrandReport(max_len, holds_up_to, first, violations)
-
-    def count_length(self, i: int) -> int:
-        """Number of length-i words in the language, by a digit DP.
-
-        Scanning left to right, the state is the set of suffix start
-        positions that still match the corresponding greatest word
-        exactly; suffixes that have fallen strictly below are satisfied
-        forever, and one that rises above kills the branch.  The result
-        always equals U(i), which tests assert rather than assume.
-        """
-        if i < 0:
-            raise NumerationError("length must be nonnegative")
-        if i == 0:
-            return 1
-        alphabet = range(self.alphabet_max + 1)
-        bounds = {length: self.lex_max(length) for length in range(1, i + 1)}
-        # states: frozenset of matched lengths (ages) of still-tight suffixes
-        states = {frozenset(): 1}
-        for p in range(1, i + 1):
-            nxt: dict = {}
-            for ages, cnt in states.items():
-                for c in alphabet:
-                    dead = False
-                    out = []
-                    for a in ages:
-                        # suffix started at position p - a, compared against
-                        # the greatest word of its final length
-                        letter = bounds[i - (p - a) + 1][a]
-                        if c > letter:
-                            dead = True
-                            break
-                        if c == letter:
-                            out.append(a + 1)
-                    if dead:
-                        continue
-                    letter = bounds[i - p + 1][0]
-                    if c > letter:
-                        continue
-                    if c == letter:
-                        out.append(1)
-                    key = frozenset(out)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            states = nxt
-        return sum(states.values())
 
     # -- serialization -----------------------------------------------------------
 

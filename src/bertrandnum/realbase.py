@@ -26,9 +26,11 @@ from .words import (
     format_epword,
     is_parry_valid,
     parse_epword,
+    suffixes_at_most,
 )
 
 DEFAULT_DEPTH = 64
+VARIANTS = ("canonical", "noncanonical")
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
 
 
@@ -61,12 +63,7 @@ class ParryClass:
 
 
 class RealBase:
-    """A real base beta > 1 with a lazily extended expansion of 1.
-
-    The digit cache and the isolating interval only ever grow/shrink
-    monotonically toward the same answers, so concurrent readers are
-    safe as long as a single writer performs the extension.
-    """
+    """A real base beta > 1 with a lazily extended expansion of 1."""
 
     def __init__(self, kind, *, value=None, coeffs=None, interval=None, source=None):
         self.kind = kind  # "integer" | "rational" | "algebraic"
@@ -193,18 +190,6 @@ class RealBase:
                 return f
             self._bisect()
         raise RefinementBudgetError("could not determine the integer part of beta")
-
-    @property
-    def ceil_minus_one(self) -> int:
-        if self.kind == "integer":
-            return int(self.value) - 1
-        if self.kind == "rational":
-            return math.ceil(self.value) - 1
-        fl = self.floor
-        lo, hi = self._ival
-        if lo == hi and lo == fl:
-            return fl - 1
-        return fl  # beta is not an integer, so ceil(beta) - 1 == floor(beta)
 
     def approx(self, digits: int = 12) -> float:
         return float(self.enclosure(Fraction(1, 10**digits)).mid)
@@ -459,15 +444,20 @@ def shift_member(base: RealBase, w: DigitWord, variant: str, depth: int | None =
     w = tuple(w)
     need = max(len(w), depth or 0, 1)
     ref = base.dstar_prefix(need) if variant == "canonical" else base.digits_prefix(need)
-    for i in range(1, len(w) + 1):
-        if w[len(w) - i :] > ref[:i]:
-            return False
-    return True
+    return suffixes_at_most(w, lambda i: ref[:i])
 
 
 def _check_variant(variant: str):
-    if variant not in ("canonical", "noncanonical"):
+    if variant not in VARIANTS:
         raise NumerationError(f"unknown variant {variant!r}")
+
+
+def generating_word(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> EPWord:
+    """The word generating the variant's system and shift: the quasi-greedy
+    expansion of 1 for "canonical", the greedy one for "noncanonical"."""
+    _check_variant(variant)
+    d = base.require_parry(depth)
+    return quasi_greedy_of(d) if variant == "canonical" else d
 
 
 # -- textual base specs -------------------------------------------------------

@@ -184,6 +184,21 @@ def is_parry_valid(d: EPWord, strict: bool = True) -> bool:
     return True
 
 
+def suffixes_at_most(w: DigitWord, greatest) -> bool:
+    """Every suffix s of w has s <= greatest(len(s)).
+
+    The suffix criterion (Parry 1960): with the greatest members of each
+    length it decides a numeration language, with the prefixes of an
+    expansion of 1 the factors of a beta-shift.
+    """
+    w = tuple(w)
+    n = len(w)
+    for i in range(1, n + 1):
+        if w[n - i :] > greatest(i):
+            return False
+    return True
+
+
 def quasi_to_greedy(a: EPWord) -> EPWord:
     """Map a shift-dominated word to its strictly dominated companion.
 

@@ -1,0 +1,120 @@
+"""Independent reference implementations that the tests compare the
+library against.  None of them is on a path the library itself uses.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase
+
+
+def member_direct(s: NumSys, w) -> bool:
+    """Membership without the suffix criterion: strip leading zeros, then
+    compare with the greedy representation of the value."""
+    w = tuple(w)
+    k = 0
+    while k < len(w) and w[k] == 0:
+        k += 1
+    stripped = w[k:]
+    return stripped == s.rep(s.val(stripped))
+
+
+def count_length(s: NumSys, i: int) -> int:
+    """Number of length-i words in the language, by a digit DP.
+
+    Scanning left to right, the state is the set of suffix start
+    positions that still match the corresponding greatest word
+    exactly; suffixes that have fallen strictly below are satisfied
+    forever, and one that rises above kills the branch.  The result
+    always equals U(i), which tests assert rather than assume.
+    """
+    if i < 0:
+        raise NumerationError("length must be nonnegative")
+    if i == 0:
+        return 1
+    alphabet = range(s.alphabet_max + 1)
+    bounds = {length: s.lex_max(length) for length in range(1, i + 1)}
+    # states: frozenset of matched lengths (ages) of still-tight suffixes
+    states = {frozenset(): 1}
+    for p in range(1, i + 1):
+        nxt: dict = {}
+        for ages, cnt in states.items():
+            for c in alphabet:
+                dead = False
+                out = []
+                for a in ages:
+                    # suffix started at position p - a, compared against
+                    # the greatest word of its final length
+                    letter = bounds[i - (p - a) + 1][a]
+                    if c > letter:
+                        dead = True
+                        break
+                    if c == letter:
+                        out.append(a + 1)
+                if dead:
+                    continue
+                letter = bounds[i - p + 1][0]
+                if c > letter:
+                    continue
+                if c == letter:
+                    out.append(1)
+                key = frozenset(out)
+                nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    return sum(states.values())
+
+
+@dataclass
+class EquivReport:
+    max_len: int
+    first_disagreement: DigitWord | None
+
+    @property
+    def agree(self) -> bool:
+        return self.first_disagreement is None
+
+
+def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
+    """Exhaustively compare DFA acceptance with the numeration language,
+    level by level, for all words up to max_len over the union alphabet."""
+    alphabet = sorted(set(dfa.alphabet) | set(range(s.alphabet_max + 1)))
+    levels = s.members_by_length(max_len)
+    # survivors of the DFA walk, word -> state
+    walk = {(): dfa.initial}
+    for length in range(max_len + 1):
+        if length:
+            walk = {
+                w + (c,): dfa.transitions[(q, c)]
+                for w, q in walk.items()
+                for c in alphabet
+                if (q, c) in dfa.transitions
+            }
+        accepted = {w for w, q in walk.items() if q in dfa.finals}
+        if accepted != levels[length]:
+            return EquivReport(max_len, min(accepted ^ levels[length]))
+    return EquivReport(max_len, None)
+
+
+def isomorphic_to(a: Dfa, b: Dfa) -> bool:
+    """Equal canonical forms: the same automaton up to state names."""
+    a, b = a.canonical(), b.canonical()
+    return (
+        a.num_states == b.num_states
+        and a.transitions == b.transitions
+        and a.finals == b.finals
+    )
+
+
+def ceil_minus_one(base: RealBase) -> int:
+    """ceil(beta) - 1, the largest digit of the canonical alphabet."""
+    if base.kind == "integer":
+        return int(base.value) - 1
+    if base.kind == "rational":
+        return math.ceil(base.value) - 1
+    fl = base.floor
+    lo, hi = base._ival
+    if lo == hi and lo == fl:
+        return fl - 1
+    return fl  # beta is not an integer, so ceil(beta) - 1 == floor(beta)

@@ -5,17 +5,23 @@ from bertrandnum import (
     NumerationError,
     RealBase,
     build_bertrand,
+    build_shift_dfa,
     certify_generating_word,
     char_poly,
     classify_bertrand,
     epword,
+    generating_word,
+    parse_base,
     recurrence_from_char_poly,
+    renewal_target,
+    shift_member,
     variants_coincide,
     verify_counting_identity,
 )
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
+from oracles import ceil_minus_one
 
 PARRY_BASES = {
     "2": (RealBase.integer, (2,)),
@@ -83,10 +89,10 @@ def test_alphabet_claims(name):
     base = make_base(name)
     canonical = build_bertrand(base, "canonical")
     noncanonical = build_bertrand(base, "noncanonical")
-    assert canonical.alphabet_max == base.ceil_minus_one
+    assert canonical.alphabet_max == ceil_minus_one(base)
     assert noncanonical.alphabet_max == base.floor
     # the bound is attained by the digits that actually occur
-    assert max(canonical.lex_max(10)) == base.ceil_minus_one
+    assert max(canonical.lex_max(10)) == ceil_minus_one(base)
     assert max(noncanonical.lex_max(10)) == base.floor
 
 
@@ -105,8 +111,36 @@ def test_char_poly_reference_values():
 def test_char_poly_shape_mismatch():
     with pytest.raises(NumerationError):
         char_poly(epword((2,), (1,)), "noncanonical")
-    with pytest.raises(NumerationError):
-        char_poly(epword((1, 1), (0,)), "bogus")
+
+
+# the Salem sextic x^6-3x^5-x^4-7x^3-x^2-3x+1 does not resolve within depth 50
+SALEM_UNRESOLVED = "poly:1,-3,-1,-7,-1,-3,1@(3,4)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_bertrand(RealBase.integer(3), "bogus"),
+        lambda: char_poly(epword((1, 1), (0,)), "bogus"),
+        lambda: build_shift_dfa(RealBase.integer(3), "bogus"),
+        lambda: renewal_target(RealBase.integer(3), "bogus"),
+        lambda: renewal_target(parse_base(SALEM_UNRESOLVED), "bogus", depth=50),
+        lambda: shift_member(RealBase.integer(3), (1, 0), "bogus"),
+        lambda: generating_word(RealBase.integer(3), "bogus"),
+    ],
+    ids=[
+        "build_bertrand",
+        "char_poly",
+        "build_shift_dfa",
+        "renewal_target",
+        "renewal_target_unresolved",
+        "shift_member",
+        "generating_word",
+    ],
+)
+def test_unknown_variant_rejected(call):
+    with pytest.raises(NumerationError, match="unknown variant"):
+        call()
 
 
 @pytest.mark.parametrize("name", list(PARRY_BASES), ids=list(PARRY_BASES))

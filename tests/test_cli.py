@@ -99,6 +99,15 @@ def test_check_bertrand(capsys):
     assert {"word": "50", "kind": "prefix-closure"} in data["violations"]
 
 
+def test_check_bertrand_infers_alphabet_from_initial_values(capsys, tmp_path):
+    # ex31_not_prolongable without alphabet_max: U(1) = 3 needs the digit 2
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1, 3], "recurrence": {"coeffs": [1, 1]}}))
+    code, out, _ = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "6")
+    assert code == 0
+    assert out == "violation: 20 (prolongability); holds up to length 1"
+
+
 def test_classify(capsys):
     system = str(FIXTURES / "zeckendorf.json")
     code, out, _ = run(capsys, "classify", "--system", system, "--probe", "9")

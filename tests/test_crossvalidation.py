@@ -16,11 +16,12 @@ from bertrandnum import (
     build_bertrand,
     build_shift_dfa,
     classify_bertrand,
-    dfa_equiv_language,
     epword,
     is_parry_valid,
     shift_member,
 )
+
+from oracles import dfa_equiv_language
 
 
 def small_bases():

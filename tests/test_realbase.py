@@ -19,6 +19,7 @@ from bertrandnum import (
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, tribonacci
+from oracles import ceil_minus_one
 
 
 def value_identity_holds(word, base) -> bool:
@@ -213,11 +214,11 @@ def test_resolved_expansions_are_valid(base):
 
 def test_floor_and_ceil_helpers():
     assert RealBase.integer(3).floor == 3
-    assert RealBase.integer(3).ceil_minus_one == 2
+    assert ceil_minus_one(RealBase.integer(3)) == 2
     assert golden_ratio().floor == 1
-    assert golden_ratio().ceil_minus_one == 1
-    assert golden_ratio_squared().ceil_minus_one == 2
-    assert RealBase.rational(Fraction(5, 2)).ceil_minus_one == 2
+    assert ceil_minus_one(golden_ratio()) == 1
+    assert ceil_minus_one(golden_ratio_squared()) == 2
+    assert ceil_minus_one(RealBase.rational(Fraction(5, 2))) == 2
 
 
 # ---------------------------------------------------------------------------
