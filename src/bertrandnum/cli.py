@@ -74,8 +74,8 @@ def cmd_beta_of(args) -> int:
     if args.json:
         print(json.dumps(_base_json(base)))
     elif base.kind == "algebraic":
-        lo, hi = base._ival
-        print(f"root of {pl.format_poly(base.poly)} in ({lo}, {hi}) ~ {base.approx()}")
+        enc = base.enclosure()
+        print(f"root of {pl.format_poly(base.poly)} in ({enc.lo}, {enc.hi}) ~ {base.approx()}")
     else:
         print(f"{base.value}")
     return 0

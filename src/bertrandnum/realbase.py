@@ -1,12 +1,14 @@
 """Exactly represented real bases beta > 1 and the greedy expansion of 1.
 
-A base is an integer, a rational, or the unique root > 1 of an integer
-polynomial inside an isolating interval.  Digits of the expansion of 1
-are produced by exact arithmetic only: rational remainders for
-integer/rational bases, and elements of Q(beta) (coefficient vectors
-reduced modulo the defining polynomial) for algebraic bases, with floor
-extraction certified by sign evaluations over a shrinking isolating
-interval.  No floating point ever enters the digit path.
+A base is the unique root > 1 of a primitive integer polynomial inside
+an isolating interval; an integer or rational base b/c is the linear
+polynomial cX - b with the degenerate interval [b/c, b/c].  Digits of the
+expansion of 1 come from one exact engine for every base: the remainders
+are elements of Q(beta), coefficient vectors reduced modulo the defining
+polynomial, and each floor is certified by sign evaluations over a
+shrinking isolating interval (the remainders of an integer or rational
+base are rationals and need none).  No floating point ever enters the
+digit path.
 """
 
 from __future__ import annotations
@@ -65,17 +67,29 @@ class ParryClass:
 class RealBase:
     """A real base beta > 1 with a lazily extended expansion of 1."""
 
-    def __init__(self, kind, *, value=None, coeffs=None, interval=None, source=None):
-        self.kind = kind  # "integer" | "rational" | "algebraic"
-        self.value = value  # exact Fraction for integer/rational kinds
-        self.poly = coeffs  # low-first int tuple for algebraic kind
-        self._ival = list(interval) if interval else None  # mutable enclosure
+    def __init__(self, coeffs, interval, source=None):
+        self.poly = coeffs  # low-first primitive int tuple, leading coefficient > 0
+        self._ival = list(interval)  # mutable enclosure; [q, q] for a rational q
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
         self._seen: dict = {}
         self._resolved: EPWord | None = None
-        self._repeat_at: int | None = None  # index where the remainder repeated
+
+    @property
+    def kind(self) -> str:
+        """Read off the polynomial: "integer" or "rational" for degree 1,
+        "algebraic" above."""
+        if pl.degree(self.poly) > 1:
+            return "algebraic"
+        return "integer" if self.poly[1] == 1 else "rational"
+
+    @property
+    def value(self) -> Fraction | None:
+        """Beta as an exact Fraction for a degree-1 base, else None."""
+        if pl.degree(self.poly) > 1:
+            return None
+        return Fraction(-self.poly[0], self.poly[1])
 
     # -- constructors --------------------------------------------------------
 
@@ -84,7 +98,7 @@ class RealBase:
         b = int(b)
         if b < 2:
             raise NumerationError(f"integer base must be >= 2, got {b}")
-        return cls("integer", value=Fraction(b), source=f"int:{b}")
+        return cls((-b, 1), (Fraction(b), Fraction(b)), f"int:{b}")
 
     @classmethod
     def rational(cls, q) -> "RealBase":
@@ -93,7 +107,7 @@ class RealBase:
             raise NumerationError(f"base must be > 1, got {q}")
         if q.denominator == 1:
             return cls.integer(q.numerator)
-        return cls("rational", value=q, source=f"rat:{q.numerator}/{q.denominator}")
+        return cls((-q.numerator, q.denominator), (q, q), f"rat:{q.numerator}/{q.denominator}")
 
     @classmethod
     def algebraic(cls, coeffs, interval) -> "RealBase":
@@ -131,13 +145,7 @@ class RealBase:
                 raise NumerationError("isolated root is not > 1")
             return cls.rational(root)
         text = ",".join(str(c) for c in pl.high_first(p))
-        base = cls(
-            "algebraic",
-            coeffs=p,
-            interval=(lo, hi),
-            source=f"poly:{text}@({lo},{hi})",
-        )
-        return base
+        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
 
     @classmethod
     def from_parry_word(cls, word: EPWord | str) -> "RealBase":
@@ -151,11 +159,9 @@ class RealBase:
 
     def enclosure(self, width=None) -> Interval:
         """A rigorous interval containing beta, refined below `width` if given."""
-        if self.kind != "algebraic":
-            return Interval.point(self.value)
         if width is not None:
             width = Fraction(width)
-            while self._ival[1] - self._ival[0] >= width:
+            while 0 < self._ival[1] - self._ival[0] >= width:
                 self._bisect()
         return Interval(self._ival[0], self._ival[1])
 
@@ -175,12 +181,11 @@ class RealBase:
     @property
     def floor(self) -> int:
         """The integer part of beta."""
-        if self.kind != "algebraic":
-            return math.floor(self.value)
+        lo, hi = self._ival
+        if lo == hi:
+            return math.floor(lo)
         for _ in range(REFINEMENT_BUDGET):
             lo, hi = self._ival
-            if lo == hi:
-                return math.floor(lo)
             if math.floor(lo) == math.floor(hi):
                 return math.floor(lo)
             f = math.floor(hi)
@@ -195,12 +200,6 @@ class RealBase:
         return float(self.enclosure(Fraction(1, 10**digits)).mid)
 
     # -- the greedy expansion of 1 ---------------------------------------------
-
-    def _init_remainder(self):
-        if self.kind == "algebraic":
-            n = pl.degree(self.poly)
-            return (Fraction(1),) + (Fraction(0),) * (n - 1)
-        return Fraction(1)
 
     def _mul_beta(self, vec):
         # multiply an element of Q(beta), given as a coefficient vector of
@@ -258,40 +257,22 @@ class RealBase:
     def _step(self):
         """Compute one more digit of the expansion of 1."""
         if self._rem is None:
-            self._rem = self._init_remainder()
+            self._rem = (Fraction(1),) + (Fraction(0),) * (pl.degree(self.poly) - 1)
             self._seen[self._rem] = 0
-        if self.kind == "algebraic":
-            s = self._mul_beta(self._rem)
-            e, exact = self._floor_vec(s)
-            if exact:
-                rem = None  # remainder is exactly zero
-            else:
-                rem = list(s)
-                rem[0] -= e
-                rem = tuple(rem)
-                if all(c == 0 for c in rem):
-                    rem = None
-        else:
-            s = self.value * self._rem
-            e = math.floor(s)
-            rem = s - e
-            if rem == 0:
-                rem = None
+        s = self._mul_beta(self._rem)
+        e, exact = self._floor_vec(s)
         if e < 0:
             raise NumerationError("negative digit; base is not > 1")
         self._digits.append(e)
-        k = len(self._digits)
-        if rem is None:
+        if exact:  # the remainder is exactly zero
             self._resolved = epword(tuple(self._digits), (0,))
-            self._rem = Fraction(0)
             return
+        rem = (s[0] - e,) + s[1:]
         j = self._seen.get(rem)
         if j is not None:
             self._resolved = epword(tuple(self._digits[:j]), tuple(self._digits[j:]))
-            self._repeat_at = j
-            self._rem = rem
             return
-        self._seen[rem] = k
+        self._seen[rem] = len(self._digits)
         self._rem = rem
 
     def digits_prefix(self, depth: int) -> DigitWord:

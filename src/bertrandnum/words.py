@@ -118,9 +118,6 @@ def epword(pre, per=(0,)) -> EPWord:
     return EPWord(tuple(pre), tuple(per))
 
 
-ZERO_WORD = EPWord((), (0,))
-
-
 # -- lexicographic machinery -----------------------------------------------
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase
 
@@ -109,12 +110,28 @@ def isomorphic_to(a: Dfa, b: Dfa) -> bool:
 
 def ceil_minus_one(base: RealBase) -> int:
     """ceil(beta) - 1, the largest digit of the canonical alphabet."""
-    if base.kind == "integer":
-        return int(base.value) - 1
-    if base.kind == "rational":
-        return math.ceil(base.value) - 1
     fl = base.floor
-    lo, hi = base._ival
-    if lo == hi and lo == fl:
+    enc = base.enclosure()
+    if enc.lo == enc.hi == fl:
         return fl - 1
     return fl  # beta is not an integer, so ceil(beta) - 1 == floor(beta)
+
+
+def rational_digits(q, depth: int) -> tuple[DigitWord, str]:
+    """The first `depth` digits of the greedy expansion of 1 in a rational
+    base q, by the plain remainder loop r <- qr - floor(qr), and the
+    ParryClass kind the loop proves within them: "simple" once a remainder
+    is 0, "nonsimple" once one repeats, else "unresolved"."""
+    q = Fraction(q)
+    digits, r, seen, kind = [], Fraction(1), {Fraction(1)}, "unresolved"
+    while len(digits) < depth:
+        s = q * r
+        digits.append(math.floor(s))
+        r = s - digits[-1]
+        if kind == "unresolved":
+            if r == 0:
+                kind = "simple"
+            elif r in seen:
+                kind = "nonsimple"
+            seen.add(r)
+    return tuple(digits), kind

@@ -43,10 +43,6 @@ def parry_bases():
     }
 
 
-def defining_poly(base):
-    return base.poly if base.kind == "algebraic" else (-int(base.value), 1)
-
-
 def test_criterion_1_worked_examples():
     start = time.perf_counter()
 
@@ -107,8 +103,7 @@ def test_criterion_2_trichotomy_roundtrip():
                 else "case3"
             )
             assert res.case == expected_case, (name, variant, res.case)
-            recovered = defining_poly(res.base)
-            original = defining_poly(base)
+            recovered, original = res.base.poly, base.poly
             assert pl.divides(original, recovered) or pl.divides(recovered, original), (
                 name,
                 variant,

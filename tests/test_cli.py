@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,3 +198,24 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["dbeta", "--base", "int:3", "--depth", "8"], 0, "3(0) [simple Parry, n=1]\n"),
+        (["dbeta", "--base", "int:1"], 1, ""),
+        ([], 2, ""),
+    ],
+    ids=["ok", "domain-error", "no-subcommand"],
+)
+def test_module_entry_point_exit_codes(argv, code, stdout):
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bertrandnum", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == stdout

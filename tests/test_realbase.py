@@ -19,7 +19,7 @@ from bertrandnum import (
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, tribonacci
-from oracles import ceil_minus_one
+from oracles import ceil_minus_one, rational_digits
 
 
 def value_identity_holds(word, base) -> bool:
@@ -31,13 +31,14 @@ def value_identity_holds(word, base) -> bool:
     interval.
     """
     p = expansion_polynomial(word) if not word.zero_tail else simple_expansion_polynomial(word.support)
-    if base.kind != "algebraic":
-        return pl.eval_at(p, base.value) == 0
+    enc = base.enclosure()
+    if enc.lo == enc.hi:
+        # beta is exactly the rational enc.lo; no sign changes inside [q, q]
+        return pl.eval_at(p, enc.lo) == 0
     g = pl.gcd(base.poly, p)
     if pl.degree(g) < 1:
         return False
-    lo, hi = base._ival
-    return pl.sign_at(g, lo) * pl.sign_at(g, hi) < 0
+    return pl.sign_at(g, enc.lo) * pl.sign_at(g, enc.hi) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +299,30 @@ def test_reducible_polynomial_with_algebraic_root():
 
 def test_rational_root_through_polynomial_matches_fraction_path():
     # (2x-3)(x-2): the isolated root is exactly 3/2, so the Q(beta) vector
-    # machinery must reproduce the plain rational remainder path digit for
+    # machinery must reproduce the plain Fraction remainder loop digit for
     # digit (bisection midpoints never hit 3/2, so exactness detection and
     # interval collapse both get exercised)
     a = RealBase.algebraic((6, -7, 2), (Fraction(7, 5), Fraction(8, 5)))
-    b = RealBase.rational(Fraction(3, 2))
-    assert a.digits_prefix(30) == b.digits_prefix(30)
+    expected, _ = rational_digits(Fraction(3, 2), 30)
+    assert a.digits_prefix(30) == expected
     assert a.digits_prefix(30)[:4] == (1, 0, 1, 0)
     assert a.parry_class(30).kind == "unresolved"
     c = parse_base("poly:2,-7,6@(7/5,8/5)")
-    assert c.digits_prefix(15) == b.digits_prefix(15)
+    assert c.digits_prefix(15) == expected[:15]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [2, 3, 4, 5, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), Fraction(10, 3)],
+    ids=str,
+)
+def test_exact_base_matches_fraction_loop(q):
+    # integer and rational bases run through the Q(beta) engine as
+    # degree-1 elements; the plain Fraction loop is the oracle
+    base = RealBase.rational(q)
+    digits, kind = rational_digits(q, 40)
+    assert base.digits_prefix(40) == digits
+    assert base.parry_class(40).kind == kind
 
 
 def test_refinement_budget_is_an_explicit_error(monkeypatch):
@@ -317,3 +332,8 @@ def test_refinement_budget_is_an_explicit_error(monkeypatch):
     base = RealBase.algebraic((-1, -1, 1), (1, 2))
     with pytest.raises(rb.RefinementBudgetError):
         base.digits_prefix(4)
+    # exact bases have a degenerate enclosure and never refine
+    assert RealBase.integer(3).floor == 3
+    assert RealBase.integer(3).digits_prefix(4) == (3, 0, 0, 0)
+    assert RealBase.rational(Fraction(5, 2)).floor == 2
+    assert RealBase.rational(Fraction(5, 2)).digits_prefix(4) == (2, 1, 0, 1)
