@@ -48,7 +48,6 @@ from .bertrand import (
     char_poly,
     classify_bertrand,
     recurrence_from_char_poly,
-    variants_coincide,
     verify_counting_identity,
 )
 from .automata import Dfa, build_shift_dfa

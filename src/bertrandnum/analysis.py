@@ -19,6 +19,8 @@ from .numsys import NumSys
 from .realbase import DEFAULT_DEPTH, RealBase, generating_word, quasi_greedy_of
 
 _MAX_REFINEMENTS = 512
+_TARGET_WIDTH = Fraction(1, 10**8)  # renewal_target
+_EMPIRICAL_WIDTH = Fraction(1, 10**6)  # the last entry of renewal_empirical
 
 
 def dominant_root_ratios(s: NumSys, i_max: int) -> list:
@@ -43,12 +45,20 @@ def _enclosure_above_one(base: RealBase, width: Fraction) -> Interval:
     raise NumerationError("could not separate the base from 1")
 
 
-def renewal_target(
-    base: RealBase,
-    variant: str,
-    width: Fraction = Fraction(1, 10**8),
-    depth: int = DEFAULT_DEPTH,
-) -> Interval:
+def _refine(base: RealBase, width: Fraction, enclose) -> tuple:
+    """Refine the base enclosure, from 2^-8 and fourfold per round, until
+    `enclose(beta)` is narrower than `width`; returns (beta, enclosure)."""
+    shrink = Fraction(1, 2**8)
+    for _ in range(_MAX_REFINEMENTS):
+        beta = _enclosure_above_one(base, shrink)
+        result = enclose(beta)
+        if result.width < width:
+            return beta, result
+        shrink /= 4
+    raise NumerationError("enclosure did not reach the requested width")
+
+
+def renewal_target(base: RealBase, variant: str) -> Interval:
     """Rigorous enclosure of beta / ((beta - 1) * sum_{i>=1} i a_i beta^-i),
     the limit of U(i)/beta^i for the system generated by the word a.
 
@@ -58,15 +68,13 @@ def renewal_target(
         sum i a_i x^i = sum_{i<=m} i p_i x^i
                       + sum_{j<=n} q_j x^(m+j) ((m+j)(1-y) + n y) / (1-y)^2.
 
-    The enclosure is refined until it is narrower than `width`.
+    The enclosure is narrower than 10^-8.
     """
-    word = generating_word(base, variant, depth)
+    word = generating_word(base, variant)
     pre, per = word.pre, word.per
     m, n = len(pre), len(per)
-    w = Fraction(width)
-    shrink = Fraction(1, 2**8)
-    for _ in range(_MAX_REFINEMENTS):
-        beta = _enclosure_above_one(base, shrink)
+
+    def target(beta):
         x = beta.recip()
         y = x**n
         one_minus_y = Interval.point(1) - y
@@ -77,35 +85,22 @@ def renewal_target(
             if per[j - 1]:
                 num = (m + j) * one_minus_y + Interval.point(n) * y
                 total = total + per[j - 1] * x ** (m + j) * num / (one_minus_y**2)
-        target = beta / ((beta - Interval.point(1)) * total)
-        if target.width < w:
-            return target
-        shrink /= 4
-    raise NumerationError("enclosure did not reach the requested width")
+        return beta / ((beta - Interval.point(1)) * total)
+
+    return _refine(base, _TARGET_WIDTH, target)[1]
 
 
-def renewal_empirical(
-    s: NumSys,
-    base: RealBase,
-    i_max: int,
-    width: Fraction = Fraction(1, 10**6),
-) -> list:
+def renewal_empirical(s: NumSys, base: RealBase, i_max: int) -> list:
     """Interval enclosures of U(i)/beta^i for 0 <= i <= i_max.
 
     The base enclosure is refined until the final entry is narrower than
-    `width`; the same enclosure then produces the whole sequence.
+    10^-6; the same enclosure then produces the whole sequence.
     """
     if i_max < 1:
         raise NumerationError("i_max must be >= 1")
-    w = Fraction(width)
-    shrink = Fraction(1, 2**8)
-    for _ in range(_MAX_REFINEMENTS):
-        beta = _enclosure_above_one(base, shrink)
-        final = Interval.point(s.u(i_max)) / beta**i_max
-        if final.width < w:
-            return [Interval.point(s.u(i)) / beta**i for i in range(i_max + 1)]
-        shrink /= 4
-    raise NumerationError("enclosure did not reach the requested width")
+    last = Interval.point(s.u(i_max))
+    beta, _ = _refine(base, _EMPIRICAL_WIDTH, lambda beta: last / beta**i_max)
+    return [Interval.point(s.u(i)) / beta**i for i in range(i_max + 1)]
 
 
 def _ln(n: int) -> float:
@@ -188,16 +183,17 @@ class LexMaxConvergenceReport:
 
 
 def lexmax_convergence_probe(
-    s: NumSys, base: RealBase, ell: int, i_max: int, depth: int = DEFAULT_DEPTH
+    s: NumSys, base: RealBase, ell: int, i_max: int
 ) -> LexMaxConvergenceReport:
     if ell < 1:
         raise NumerationError("ell must be >= 1")
     if ell > i_max:
         raise NumerationError("ell must not exceed i_max")
-    d = base.require_parry(max(depth, ell + i_max))
+    d = base.require_parry(max(DEFAULT_DEPTH, ell + i_max))
+    dstar = quasi_greedy_of(d)
     if d.zero_tail:
         t = d.support
-        stem = t[:-1] + (t[-1] - 1,)
+        stem = dstar.per
         prefixes = []
         for k in range(ell + 2):
             w = stem * k + t
@@ -212,7 +208,7 @@ def lexmax_convergence_probe(
         limit = None
         if stabilized:
             stable = prefixes[window[0]]
-            if stable == quasi_greedy_of(d).prefix(ell):
+            if stable == dstar.prefix(ell):
                 limit = "quasi-greedy"
             elif stable == d.prefix(ell):
                 limit = "greedy"

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import NumerationError
-from .realbase import DEFAULT_DEPTH, RealBase, generating_word, quasi_greedy_of
+from .realbase import RealBase, generating_word, quasi_greedy_of
 from .words import DigitWord
 
 
@@ -182,7 +182,7 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def build_shift_dfa(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> Dfa:
+def build_shift_dfa(base: RealBase, variant: str) -> Dfa:
     """Automaton accepting the factors of the base's shift.
 
     canonical: the classical construction over the quasi-greedy expansion
@@ -191,7 +191,7 @@ def build_shift_dfa(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) ->
     automaton is returned with meta["coincides_with_canonical"] set.
     All states are final, so the language is factorial.
     """
-    word = generating_word(base, variant, depth)
+    word = generating_word(base, variant)
     dstar = quasi_greedy_of(word)  # the identity on a quasi-greedy word
     m, n = len(dstar.pre), len(dstar.per)
     size = m + n

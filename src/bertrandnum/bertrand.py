@@ -17,7 +17,6 @@ from . import polynomials as pl
 from .errors import NumerationError
 from .numsys import BertrandRule, NumSys, Recurrence, Violation
 from .realbase import (
-    DEFAULT_DEPTH,
     RealBase,
     _check_variant,
     base_from_expansion,
@@ -28,7 +27,7 @@ from .realbase import (
 from .words import EPWord, epword, is_parry_valid, quasi_to_greedy
 
 
-def build_bertrand(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> NumSys:
+def build_bertrand(base: RealBase, variant: str) -> NumSys:
     """The Bertrand numeration system associated with a Parry base.
 
     variant "canonical" seeds the recurrence with the quasi-greedy
@@ -36,16 +35,11 @@ def build_bertrand(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> 
     greedy expansion is infinite the two coincide; the returned system
     then carries ``note`` saying so.
     """
-    word = generating_word(base, variant, depth)
+    word = generating_word(base, variant)
     s = NumSys.from_word(word)
     if variant == "noncanonical" and not word.zero_tail:
         s.note = "coincides with the canonical system (expansion of 1 is infinite)"
     return s
-
-
-def variants_coincide(base: RealBase, depth: int = DEFAULT_DEPTH) -> bool:
-    """True when the canonical and non-canonical systems agree (non-simple base)."""
-    return not base.require_parry(depth).zero_tail
 
 
 def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
@@ -252,23 +246,23 @@ class CountingIdentityReport:
         return self.first_failure is None
 
 
-def verify_counting_identity(
-    base: RealBase, range_max: int, depth: int = DEFAULT_DEPTH
-) -> CountingIdentityReport:
+def verify_counting_identity(base: RealBase, range_max: int) -> CountingIdentityReport:
     """Check U'(i + n) = U(i + n) + U'(i) for 0 <= i <= range_max.
 
     U and U' are the canonical and non-canonical systems of a simple
     Parry base whose expansion of 1 has n digits.
     """
-    d = base.require_parry(depth)
+    if range_max < 0:
+        raise NumerationError("range must be >= 0")
+    d = base.require_parry()
     if not d.zero_tail:
         raise NumerationError(
             "the counting identity requires a simple Parry base "
             "(finite expansion of 1)"
         )
     n = len(d.support)
-    u = build_bertrand(base, "canonical", depth)
-    u_prime = build_bertrand(base, "noncanonical", depth)
+    u = build_bertrand(base, "canonical")
+    u_prime = build_bertrand(base, "noncanonical")
     first_failure = None
     for i in range(range_max + 1):
         if u_prime.u(i + n) != u.u(i + n) + u_prime.u(i):

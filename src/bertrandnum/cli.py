@@ -60,7 +60,7 @@ def cmd_dbeta(args) -> int:
 def cmd_dstar(args) -> int:
     base = parse_base(args.base)
     cls = base.parry_class(args.depth)
-    word = _word_or_prefix(base.quasi_greedy_expansion(args.depth))
+    word = _word_or_prefix(cls.quasi_greedy)
     if args.json:
         print(json.dumps({"word": word, "resolved": cls.resolved, "class": cls.describe()}))
     else:
@@ -240,7 +240,7 @@ def cmd_analyze(args) -> int:
             "ratio_estimate": entropy.ratio_estimate,
         },
     }
-    if args.ell:
+    if args.ell is not None:
         rep = analysis.lexmax_convergence_probe(s, base, args.ell, args.imax)
         out["hollander"] = {
             "mode": rep.mode,
@@ -267,7 +267,7 @@ def cmd_analyze(args) -> int:
             f"[{out['empirical_interval']['lo_float']}, {out['empirical_interval']['hi_float']}]"
         )
         print(f"entropy ratio estimate: {entropy.ratio_estimate}")
-        if args.ell:
+        if args.ell is not None:
             print(f"lex-max convergence: stabilized={rep.stabilized} limit={rep.limit}")
     return 0
 

@@ -108,6 +108,8 @@ class NumSys:
         return self._u[i]
 
     def values(self, count: int) -> list:
+        if count < 0:
+            raise NumerationError("count must be >= 0")
         return [self.u(i) for i in range(count)]
 
     def _extend(self):

@@ -9,6 +9,14 @@ polynomial, and each floor is certified by sign evaluations over a
 shrinking isolating interval (the remainders of an integer or rational
 base are rationals and need none).  No floating point ever enters the
 digit path.
+
+The base owns its expansion of 1 and keeps whatever it has resolved.
+`RealBase.parry_class(depth)` is the one reader: its `word` is the greedy
+expansion and its `quasi_greedy` the quasi-greedy one (or the digit
+prefix while unresolved); `digits_prefix` and `require_parry` read
+through it.  Everything built from a base (its systems, automata and
+enclosures) asks for the expansion at the default depth, so resolving a
+base deeper once with `require_parry(depth)` serves every later builder.
 """
 
 from __future__ import annotations
@@ -55,6 +63,18 @@ class ParryClass:
     @property
     def resolved(self) -> bool:
         return self.kind != "unresolved"
+
+    @property
+    def quasi_greedy(self):
+        """The quasi-greedy expansion of 1.
+
+        Equals the greedy expansion unless that expansion is finite,
+        t1..tn followed by zeros, in which case it is the purely periodic
+        word (t1..t_{n-1}(t_n - 1))^w.  For an unresolved base it is the
+        digit prefix, a correct prefix of the quasi-greedy word in either
+        outcome.
+        """
+        return quasi_greedy_of(self.word) if self.resolved else self.word
 
     def describe(self) -> str:
         if self.kind == "simple":
@@ -155,7 +175,7 @@ class RealBase:
         base.source = f"parry:{format_epword(word)}"
         return base
 
-    # -- enclosure and integer parts ------------------------------------------
+    # -- enclosure -------------------------------------------------------------
 
     def enclosure(self, width=None) -> Interval:
         """A rigorous interval containing beta, refined below `width` if given."""
@@ -178,26 +198,8 @@ class RealBase:
         else:
             self._ival[1] = mid
 
-    @property
-    def floor(self) -> int:
-        """The integer part of beta."""
-        lo, hi = self._ival
-        if lo == hi:
-            return math.floor(lo)
-        for _ in range(REFINEMENT_BUDGET):
-            lo, hi = self._ival
-            if math.floor(lo) == math.floor(hi):
-                return math.floor(lo)
-            f = math.floor(hi)
-            if lo < f < hi and pl.sign_at(self.poly, Fraction(f)) == 0:
-                # beta is exactly the integer f
-                self._ival[0] = self._ival[1] = Fraction(f)
-                return f
-            self._bisect()
-        raise RefinementBudgetError("could not determine the integer part of beta")
-
-    def approx(self, digits: int = 12) -> float:
-        return float(self.enclosure(Fraction(1, 10**digits)).mid)
+    def approx(self) -> float:
+        return float(self.enclosure(Fraction(1, 10**12)).mid)
 
     # -- the greedy expansion of 1 ---------------------------------------------
 
@@ -275,24 +277,18 @@ class RealBase:
         self._seen[rem] = len(self._digits)
         self._rem = rem
 
-    def digits_prefix(self, depth: int) -> DigitWord:
-        """The first `depth` digits of the expansion of 1 (always available)."""
-        if self._resolved is not None:
-            return self._resolved.prefix(depth)
-        while len(self._digits) < depth and self._resolved is None:
-            self._step()
-        if self._resolved is not None:
-            return self._resolved.prefix(depth)
-        return tuple(self._digits[:depth])
-
     def parry_class(self, depth: int = DEFAULT_DEPTH) -> ParryClass:
         """Resolve the expansion of 1 within `depth` digits, if possible.
 
         A repeated exact remainder proves ultimate periodicity; a zero
         remainder proves finiteness.  Absence of both within `depth` only
-        yields "unresolved" (never a claim that beta is not Parry).
+        yields "unresolved" (never a claim that beta is not Parry).  A base
+        resolved once stays resolved at every depth.
         """
-        self.digits_prefix(depth)
+        if depth < 1:
+            raise NumerationError("depth must be >= 1")
+        while self._resolved is None and len(self._digits) < depth:
+            self._step()
         w = self._resolved
         if w is None:
             return ParryClass("unresolved", tuple(self._digits[:depth]), depth=depth)
@@ -300,37 +296,13 @@ class RealBase:
             return ParryClass("simple", w, n=len(w.support))
         return ParryClass("nonsimple", w, m=len(w.pre), n=len(w.per))
 
-    def expansion_of_one(self, depth: int = DEFAULT_DEPTH):
-        """Greedy expansion of 1: an EPWord if resolved within `depth`, else
-        the digit prefix of length `depth`."""
-        if depth < 1:
-            raise NumerationError("depth must be >= 1")
+    def digits_prefix(self, depth: int) -> DigitWord:
+        """The first `depth` digits of the greedy expansion of 1."""
         cls = self.parry_class(depth)
-        return cls.word
-
-    def quasi_greedy_expansion(self, depth: int = DEFAULT_DEPTH):
-        """Quasi-greedy expansion of 1.
-
-        Equals the greedy expansion unless that expansion is finite,
-        t1..tn followed by zeros, in which case it is the purely periodic
-        word (t1..t_{n-1}(t_n - 1))^w.  For an unresolved base the digit
-        prefix is returned; it is a correct prefix of the quasi-greedy
-        word in either outcome.
-        """
-        if depth < 1:
-            raise NumerationError("depth must be >= 1")
-        cls = self.parry_class(depth)
-        if not cls.resolved:
-            return cls.word
-        return quasi_greedy_of(cls.word)
-
-    def dstar_prefix(self, depth: int) -> DigitWord:
-        cls = self.parry_class(depth)
-        if not cls.resolved:
-            return tuple(cls.word)
-        return quasi_greedy_of(cls.word).prefix(depth)
+        return cls.word.prefix(depth) if cls.resolved else cls.word
 
     def require_parry(self, depth: int = DEFAULT_DEPTH) -> EPWord:
+        """The greedy expansion of 1, resolved within `depth` digits."""
         cls = self.parry_class(depth)
         if not cls.resolved:
             raise UnresolvedBaseError(
@@ -413,7 +385,7 @@ def simple_expansion_polynomial(support) -> pl.IntPoly:
     return pl.poly(coeffs)
 
 
-def shift_member(base: RealBase, w: DigitWord, variant: str, depth: int | None = None) -> bool:
+def shift_member(base: RealBase, w: DigitWord, variant: str) -> bool:
     """Membership of a finite word in the factor language of the base's shift.
 
     variant "canonical" checks against prefixes of the quasi-greedy
@@ -423,8 +395,10 @@ def shift_member(base: RealBase, w: DigitWord, variant: str, depth: int | None =
     """
     _check_variant(variant)
     w = tuple(w)
-    need = max(len(w), depth or 0, 1)
-    ref = base.dstar_prefix(need) if variant == "canonical" else base.digits_prefix(need)
+    cls = base.parry_class(max(len(w), 1))
+    ref = cls.quasi_greedy if variant == "canonical" else cls.word
+    if cls.resolved:
+        ref = ref.prefix(len(w))
     return suffixes_at_most(w, lambda i: ref[:i])
 
 
@@ -433,11 +407,11 @@ def _check_variant(variant: str):
         raise NumerationError(f"unknown variant {variant!r}")
 
 
-def generating_word(base: RealBase, variant: str, depth: int = DEFAULT_DEPTH) -> EPWord:
+def generating_word(base: RealBase, variant: str) -> EPWord:
     """The word generating the variant's system and shift: the quasi-greedy
     expansion of 1 for "canonical", the greedy one for "noncanonical"."""
     _check_variant(variant)
-    d = base.require_parry(depth)
+    d = base.require_parry()
     return quasi_greedy_of(d) if variant == "canonical" else d
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase
+from bertrandnum import polynomials as pl
 
 
 def member_direct(s: NumSys, w) -> bool:
@@ -108,9 +109,23 @@ def isomorphic_to(a: Dfa, b: Dfa) -> bool:
     )
 
 
+def floor_of(base: RealBase) -> int:
+    """floor(beta) from the isolating enclosure alone, without the digit
+    path: an integer inside the enclosure that is a root of the defining
+    polynomial is beta itself; otherwise the enclosure is narrowed until
+    both ends share their integer part."""
+    width = Fraction(1)
+    while True:
+        enc = base.enclosure(width)
+        f = math.floor(enc.hi)
+        if math.floor(enc.lo) == f or pl.sign_at(base.poly, Fraction(f)) == 0:
+            return f
+        width /= 2
+
+
 def ceil_minus_one(base: RealBase) -> int:
     """ceil(beta) - 1, the largest digit of the canonical alphabet."""
-    fl = base.floor
+    fl = floor_of(base)
     enc = base.enclosure()
     if enc.lo == enc.hi == fl:
         return fl - 1

@@ -30,7 +30,7 @@ from bertrandnum import polynomials as pl
 from bertrandnum.intervals import Interval
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import ceil_minus_one, dfa_equiv_language, isomorphic_to
+from oracles import ceil_minus_one, dfa_equiv_language, floor_of, isomorphic_to
 
 
 def parry_bases():
@@ -47,10 +47,10 @@ def test_criterion_1_worked_examples():
     start = time.perf_counter()
 
     # expansions of 1
-    assert RealBase.integer(3).expansion_of_one(16) == epword((3,), (0,))
-    assert RealBase.integer(3).quasi_greedy_expansion(16) == epword((), (2,))
-    assert golden_ratio().expansion_of_one(16) == epword((1, 1), (0,))
-    assert golden_ratio_squared().expansion_of_one(16) == epword((2,), (1,))
+    assert RealBase.integer(3).parry_class(16).word == epword((3,), (0,))
+    assert RealBase.integer(3).parry_class(16).quasi_greedy == epword((), (2,))
+    assert golden_ratio().parry_class(16).word == epword((1, 1), (0,))
+    assert golden_ratio_squared().parry_class(16).word == epword((2,), (1,))
 
     # language equalities, exhaustively to length 8
     b3nc = load_system("base3_noncanonical")
@@ -110,7 +110,7 @@ def test_criterion_2_trichotomy_roundtrip():
             )
             # alphabet claims
             expected_alphabet = (
-                ceil_minus_one(base) if variant == "canonical" else base.floor
+                ceil_minus_one(base) if variant == "canonical" else floor_of(base)
             )
             assert s.alphabet_max == expected_alphabet, (name, variant)
             # recurrence residual of the generating word
@@ -195,7 +195,7 @@ def test_criterion_6_asymptotics():
             # points still separated by the 2^-60-scale convergence tail, so
             # "overlap" is judged with the same 1e-6 window)
             target = renewal_target(base, variant)
-            empirical = renewal_empirical(s, base, i_max, width=width_tol)
+            empirical = renewal_empirical(s, base, i_max)
             assert target.width < width_tol, (name, variant)
             assert empirical[-1].width < width_tol, (name, variant)
             assert empirical[-1].gap(target) < width_tol, (name, variant)
@@ -243,9 +243,9 @@ def test_criterion_7_convergence_behaviour():
     # greatest words are prefixes of the generating word, i <= 30,
     # for every Bertrand fixture; the chain breaks on the two others
     bertrand_cases = [
-        ("zeckendorf", phi.quasi_greedy_expansion()),
+        ("zeckendorf", phi.parry_class().quasi_greedy),
         ("phi_noncanonical", phi.require_parry()),
-        ("base3_canonical", RealBase.integer(3).quasi_greedy_expansion()),
+        ("base3_canonical", RealBase.integer(3).parry_class().quasi_greedy),
         ("base3_noncanonical", RealBase.integer(3).require_parry()),
         ("phi_squared", golden_ratio_squared().require_parry()),
     ]

@@ -176,9 +176,9 @@ def test_lexmax_probe_requires_ell_at_most_imax(zeckendorf, phi):
 
 def test_lexmax_identity_for_bertrand_fixtures(phi, phi2):
     cases = [
-        (load_system("zeckendorf"), golden_ratio().quasi_greedy_expansion()),
+        (load_system("zeckendorf"), golden_ratio().parry_class().quasi_greedy),
         (load_system("phi_noncanonical"), golden_ratio().require_parry()),
-        (load_system("base3_canonical"), RealBase.integer(3).quasi_greedy_expansion()),
+        (load_system("base3_canonical"), RealBase.integer(3).parry_class().quasi_greedy),
         (load_system("base3_noncanonical"), RealBase.integer(3).require_parry()),
         (load_system("phi_squared"), golden_ratio_squared().require_parry()),
     ]

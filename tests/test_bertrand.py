@@ -4,6 +4,7 @@ from bertrandnum import (
     NumSys,
     NumerationError,
     RealBase,
+    UnresolvedBaseError,
     build_bertrand,
     build_shift_dfa,
     certify_generating_word,
@@ -15,13 +16,12 @@ from bertrandnum import (
     recurrence_from_char_poly,
     renewal_target,
     shift_member,
-    variants_coincide,
     verify_counting_identity,
 )
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import ceil_minus_one
+from oracles import ceil_minus_one, floor_of
 
 PARRY_BASES = {
     "2": (RealBase.integer, (2,)),
@@ -61,8 +61,9 @@ def test_build_nonsimple_variants_coincide(phi2):
     v = build_bertrand(phi2, "noncanonical")
     assert u.values(20) == v.values(20)
     assert v.note is not None
-    assert variants_coincide(phi2)
-    assert not variants_coincide(golden_ratio())
+    # the variants coincide exactly when the expansion of 1 is infinite
+    assert not phi2.require_parry().zero_tail
+    assert golden_ratio().require_parry().zero_tail
 
 
 def test_build_rejects_unresolved():
@@ -70,6 +71,21 @@ def test_build_rejects_unresolved():
 
     with pytest.raises(NumerationError):
         build_bertrand(RealBase.rational(Fraction(5, 2)), "canonical")
+
+
+# a census Salem sextic whose expansion of 1 has m=1, n=67
+SALEM_N67 = "poly:1,-6,-2,7,-2,-6,1@(1,8)"
+
+
+def test_build_uses_the_resolution_the_base_keeps():
+    base = parse_base(SALEM_N67)
+    with pytest.raises(UnresolvedBaseError):
+        build_bertrand(base, "canonical")
+    base.require_parry(100)
+    cls = base.parry_class()  # the default depth now reads the kept resolution
+    assert (cls.kind, cls.m, cls.n) == ("nonsimple", 1, 67)
+    for variant in ("canonical", "noncanonical"):
+        assert build_bertrand(base, variant).values(5) == [1, 7, 43, 264, 1624]
 
 
 @pytest.mark.parametrize("name", list(PARRY_BASES), ids=list(PARRY_BASES))
@@ -90,10 +106,10 @@ def test_alphabet_claims(name):
     canonical = build_bertrand(base, "canonical")
     noncanonical = build_bertrand(base, "noncanonical")
     assert canonical.alphabet_max == ceil_minus_one(base)
-    assert noncanonical.alphabet_max == base.floor
+    assert noncanonical.alphabet_max == floor_of(base)
     # the bound is attained by the digits that actually occur
     assert max(canonical.lex_max(10)) == ceil_minus_one(base)
-    assert max(noncanonical.lex_max(10)) == base.floor
+    assert max(noncanonical.lex_max(10)) == floor_of(base)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +129,8 @@ def test_char_poly_shape_mismatch():
         char_poly(epword((2,), (1,)), "noncanonical")
 
 
-# the Salem sextic x^6-3x^5-x^4-7x^3-x^2-3x+1 does not resolve within depth 50
+# the Salem sextic x^6-3x^5-x^4-7x^3-x^2-3x+1 does not resolve within the
+# default depth
 SALEM_UNRESOLVED = "poly:1,-3,-1,-7,-1,-3,1@(3,4)"
 
 
@@ -124,7 +141,7 @@ SALEM_UNRESOLVED = "poly:1,-3,-1,-7,-1,-3,1@(3,4)"
         lambda: char_poly(epword((1, 1), (0,)), "bogus"),
         lambda: build_shift_dfa(RealBase.integer(3), "bogus"),
         lambda: renewal_target(RealBase.integer(3), "bogus"),
-        lambda: renewal_target(parse_base(SALEM_UNRESOLVED), "bogus", depth=50),
+        lambda: renewal_target(parse_base(SALEM_UNRESOLVED), "bogus"),
         lambda: shift_member(RealBase.integer(3), (1, 0), "bogus"),
         lambda: generating_word(RealBase.integer(3), "bogus"),
     ],
@@ -150,7 +167,7 @@ def test_char_poly_recurrence_reproduces_values(name, variant):
     d = base.require_parry()
     if variant == "noncanonical" and not d.zero_tail:
         pytest.skip("no separate noncanonical recurrence for non-simple bases")
-    word = d if variant == "noncanonical" else base.quasi_greedy_expansion()
+    word = d if variant == "noncanonical" else base.parry_class().quasi_greedy
     p = char_poly(word if variant == "canonical" else d, variant)
     coeffs = recurrence_from_char_poly(p)
     s = build_bertrand(base, variant)

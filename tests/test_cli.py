@@ -194,6 +194,33 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+ZECKENDORF_ANALYZE = [
+    "analyze", "--system", str(FIXTURES / "zeckendorf.json"),
+    "--beta", "poly:1,-1,-1@(1,2)", "--imax", "10",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dbeta", "--base", "int:3", "--depth", "0"],
+        ["dbeta", "--base", "int:3", "--depth", "-5"],
+        ["dstar", "--base", "int:3", "--depth", "0"],
+        ["counting-identity", "--beta", "int:3", "--range", "-1"],
+        [*ZECKENDORF_ANALYZE, "--ell", "0"],
+        [*ZECKENDORF_ANALYZE, "--ell", "-2"],
+        ["build", "--beta", "int:3", "--variant", "canonical", "--count", "-3"],
+    ],
+    ids=["dbeta-depth-0", "dbeta-depth-negative", "dstar-depth-0", "counting-range-negative",
+         "analyze-ell-0", "analyze-ell-negative", "build-count-negative"],
+)
+def test_size_out_of_range_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

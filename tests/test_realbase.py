@@ -19,7 +19,7 @@ from bertrandnum import (
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, tribonacci
-from oracles import ceil_minus_one, rational_digits
+from oracles import ceil_minus_one, floor_of, rational_digits
 
 
 def value_identity_holds(word, base) -> bool:
@@ -47,28 +47,28 @@ def value_identity_holds(word, base) -> bool:
 
 def test_integer_base_three():
     b = RealBase.integer(3)
-    assert b.expansion_of_one(5) == epword((3,), (0,))
+    assert b.parry_class(5).word == epword((3,), (0,))
     cls = b.parry_class()
     assert cls.kind == "simple" and cls.n == 1
 
 
 def test_golden_ratio_expansion():
     b = golden_ratio()
-    assert b.expansion_of_one(5) == epword((1, 1), (0,))
+    assert b.parry_class(5).word == epword((1, 1), (0,))
     cls = b.parry_class()
     assert cls.kind == "simple" and cls.n == 2
 
 
 def test_phi_squared_expansion():
     b = golden_ratio_squared()
-    assert b.expansion_of_one(5) == epword((2,), (1,))
+    assert b.parry_class(5).word == epword((2,), (1,))
     cls = b.parry_class()
     assert cls.kind == "nonsimple" and (cls.m, cls.n) == (1, 1)
 
 
 def test_tribonacci_expansion():
     b = tribonacci()
-    assert b.expansion_of_one(8) == epword((1, 1, 1), (0,))
+    assert b.parry_class(8).word == epword((1, 1, 1), (0,))
 
 
 def test_rational_base_unresolved():
@@ -92,15 +92,15 @@ def test_digits_prefix_extends_monotonically():
 
 
 def test_quasi_greedy_base_three():
-    assert RealBase.integer(3).quasi_greedy_expansion(5) == epword((), (2,))
+    assert RealBase.integer(3).parry_class(5).quasi_greedy == epword((), (2,))
 
 
 def test_quasi_greedy_golden_ratio():
-    assert golden_ratio().quasi_greedy_expansion(5) == epword((), (1, 0))
+    assert golden_ratio().parry_class(5).quasi_greedy == epword((), (1, 0))
 
 
 def test_quasi_greedy_phi_squared_unchanged():
-    assert golden_ratio_squared().quasi_greedy_expansion(5) == epword((2,), (1,))
+    assert golden_ratio_squared().parry_class(5).quasi_greedy == epword((2,), (1,))
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def test_quasi_greedy_is_the_other_expansion_of_one(base):
     # the quasi-greedy word is pinned down by three exact facts: it has no
     # zero tail, all its shifts are dominated non-strictly, and it also
     # represents 1
-    dstar = base.quasi_greedy_expansion()
+    dstar = base.parry_class().quasi_greedy
     assert not dstar.zero_tail
     assert is_parry_valid(dstar, strict=False)
     assert value_identity_holds(dstar, base)
@@ -120,7 +120,31 @@ def test_quasi_greedy_is_the_other_expansion_of_one(base):
 
 def test_quasi_greedy_unresolved_returns_prefix():
     b = RealBase.rational(Fraction(5, 2))
-    assert b.quasi_greedy_expansion(10) == b.digits_prefix(10)
+    assert b.parry_class(10).quasi_greedy == b.digits_prefix(10)
+
+
+def test_parry_class_quasi_greedy_property():
+    # resolved: the quasi-greedy companion of the greedy word
+    cls = RealBase.integer(3).parry_class(5)
+    assert cls.word == epword((3,), (0,))
+    assert cls.quasi_greedy == epword((), (2,)) == quasi_greedy_of(cls.word)
+    # non-simple: the greedy word itself
+    cls = golden_ratio_squared().parry_class()
+    assert cls.quasi_greedy == cls.word == epword((2,), (1,))
+    # unresolved: the digit prefix, exactly `depth` long
+    cls = RealBase.rational(Fraction(5, 2)).parry_class(12)
+    assert not cls.resolved
+    assert cls.quasi_greedy == cls.word == rational_digits(Fraction(5, 2), 12)[0]
+
+
+@pytest.mark.parametrize("depth", [0, -2])
+def test_depth_out_of_range_rejected(depth):
+    # an unresolved base must not slice from the end of its digit list
+    b = RealBase.rational(Fraction(5, 2))
+    b.digits_prefix(10)
+    for read in (b.parry_class, b.digits_prefix, b.require_parry):
+        with pytest.raises(NumerationError, match="depth must be >= 1"):
+            read(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +159,7 @@ def test_base_from_expansion_integer():
 def test_base_from_expansion_golden():
     b = base_from_expansion(epword((1, 1), (0,)))
     assert b.poly == (-1, -1, 1)
-    assert b.expansion_of_one() == epword((1, 1), (0,))
+    assert b.parry_class().word == epword((1, 1), (0,))
 
 
 def test_base_from_expansion_phi_squared():
@@ -143,7 +167,7 @@ def test_base_from_expansion_phi_squared():
     assert b.poly == (1, -3, 1)
     enc = b.enclosure(Fraction(1, 100))
     assert enc.lo > 2 and enc.hi < 3
-    assert b.expansion_of_one() == epword((2,), (1,))
+    assert b.parry_class().word == epword((2,), (1,))
 
 
 def test_base_from_expansion_rejects_degenerate():
@@ -177,7 +201,7 @@ def test_base_from_expansion_roundtrip_enumerated():
     assert len(words) > 40
     for w in words:
         base = base_from_expansion(w)
-        assert base.expansion_of_one(80) == w, w
+        assert base.parry_class(80).word == w, w
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +215,8 @@ def test_base_from_expansion_roundtrip_enumerated():
 )
 def test_digit_bounds(base):
     digits = base.digits_prefix(40)
-    assert digits[0] == base.floor
-    assert all(0 <= d <= base.floor for d in digits)
+    assert digits[0] == floor_of(base)
+    assert all(0 <= d <= floor_of(base) for d in digits)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +226,7 @@ def test_digit_bounds(base):
 )
 def test_resolved_expansions_are_valid(base):
     d = base.require_parry()
-    dstar = base.quasi_greedy_expansion()
+    dstar = base.parry_class().quasi_greedy
     assert is_parry_valid(d, strict=True)
     assert is_parry_valid(dstar, strict=False)
     # the quasi-greedy word never exceeds the greedy one, with equality
@@ -214,9 +238,12 @@ def test_resolved_expansions_are_valid(base):
 
 
 def test_floor_and_ceil_helpers():
-    assert RealBase.integer(3).floor == 3
+    # the integer part of beta is the first greedy digit
+    assert RealBase.integer(3).digits_prefix(1) == (3,)
+    assert floor_of(RealBase.integer(3)) == 3
     assert ceil_minus_one(RealBase.integer(3)) == 2
-    assert golden_ratio().floor == 1
+    assert golden_ratio().digits_prefix(1) == (1,)
+    assert floor_of(golden_ratio()) == 1
     assert ceil_minus_one(golden_ratio()) == 1
     assert ceil_minus_one(golden_ratio_squared()) == 2
     assert ceil_minus_one(RealBase.rational(Fraction(5, 2))) == 2
@@ -260,7 +287,7 @@ def test_parse_base_forms():
     assert parse_base("rat:6/2").kind == "integer"
     b = parse_base("poly:1,-1,-1@(1,2)")
     assert b.poly == (-1, -1, 1)
-    assert parse_base("parry:11(0)").expansion_of_one() == epword((1, 1), (0,))
+    assert parse_base("parry:11(0)").parry_class().word == epword((1, 1), (0,))
 
 
 def test_parse_base_bad_tokens():
@@ -280,21 +307,21 @@ def test_algebraic_validation():
     # non-square-free input is normalized and still works
     sq = pl.mul((-1, -1, 1), (-1, -1, 1))
     b = RealBase.algebraic(sq, (1, 2))
-    assert b.expansion_of_one() == epword((1, 1), (0,))
+    assert b.parry_class().word == epword((1, 1), (0,))
 
 
 def test_integer_detected_through_polynomial():
     # x^2 - 3x + 2 has roots 1 and 2; the isolating interval picks out 2,
     # and the expansion machinery must identify the exact integer
     b = RealBase.algebraic((2, -3, 1), (Fraction(3, 2), 3))
-    assert b.expansion_of_one(5) == epword((2,), (0,))
+    assert b.parry_class(5).word == epword((2,), (0,))
 
 
 def test_reducible_polynomial_with_algebraic_root():
     # (x-2)(x^2-x-1): isolate the golden ratio between the rational roots
     p = pl.mul((-2, 1), (-1, -1, 1))
     b = RealBase.algebraic(p, (Fraction(3, 2), Fraction(7, 4)))
-    assert b.expansion_of_one() == epword((1, 1), (0,))
+    assert b.parry_class().word == epword((1, 1), (0,))
 
 
 def test_rational_root_through_polynomial_matches_fraction_path():
@@ -333,7 +360,7 @@ def test_refinement_budget_is_an_explicit_error(monkeypatch):
     with pytest.raises(rb.RefinementBudgetError):
         base.digits_prefix(4)
     # exact bases have a degenerate enclosure and never refine
-    assert RealBase.integer(3).floor == 3
+    assert RealBase.integer(3).digits_prefix(1) == (3,)
     assert RealBase.integer(3).digits_prefix(4) == (3, 0, 0, 0)
-    assert RealBase.rational(Fraction(5, 2)).floor == 2
+    assert RealBase.rational(Fraction(5, 2)).digits_prefix(1) == (2,)
     assert RealBase.rational(Fraction(5, 2)).digits_prefix(4) == (2, 1, 0, 1)
