@@ -127,10 +127,6 @@ def cmd_check_bertrand(args) -> int:
                         "word": format_word(report.first_violation.word),
                         "kind": report.first_violation.kind,
                     },
-                    "violations": [
-                        {"word": format_word(v.word), "kind": v.kind}
-                        for v in report.violations
-                    ],
                 }
             )
         )

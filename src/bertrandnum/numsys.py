@@ -12,15 +12,30 @@ leading zeros.  Membership is decided by the suffix criterion: a word
 belongs to the language exactly when each of its suffixes is
 lexicographically at most the greatest word of the same length,
 rep(U(i) - 1).
+
+The Bertrand condition (w is a member exactly when w0 is) is decided
+from the greatest words as well, without listing the language.  With
+M_k = rep(U(k) - 1) and N_k the first k letters of M_{k+1}, it holds for
+every word of length at most n exactly when, for every k <= n, M_k <= N_k
+and the greatest length-k word whose every suffix s has s <= N_{|s|} is
+at most M_k.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NumerationError
-from .words import DigitWord, EPWord, format_epword, parse_epword, suffixes_at_most
+from .words import (
+    DigitWord,
+    EPWord,
+    format_epword,
+    greatest_word,
+    least_word_above,
+    parse_epword,
+    suffixes_at_most,
+)
 
 _ALPHABET_PROBE = 32  # indices used when the alphabet bound must be inferred
 
@@ -48,7 +63,6 @@ class BertrandReport:
     max_len: int
     holds_up_to: int
     first_violation: Violation | None
-    violations: list = field(default_factory=list)
 
     @property
     def holds(self) -> bool:
@@ -203,58 +217,51 @@ class NumSys:
         """
         return suffixes_at_most(w, self.lex_max)
 
-    # -- language-level operations ----------------------------------------------
-
-    def members_by_length(self, max_len: int) -> list:
-        """Level sets of the numeration language up to max_len.
-
-        Built by prepending letters: the language is closed under taking
-        suffixes, so a word belongs to level L+1 exactly when its tail
-        lies in level L and the whole word is at most lex_max(L+1).
-        """
-        alphabet = range(self.alphabet_max + 1)
-        levels = [{()}]
-        for length in range(1, max_len + 1):
-            bound = self.lex_max(length)
-            level = set()
-            for tail in levels[-1]:
-                for c in alphabet:
-                    w = (c,) + tail
-                    if w <= bound:
-                        level.add(w)
-            levels.append(level)
-        return levels
+    # -- the Bertrand condition ----------------------------------------------------
 
     def check_bertrand(self, max_len: int) -> BertrandReport:
-        """Verify w in language <=> w0 in language for all |w| <= max_len.
+        """Decide w in language <=> w0 in language for all |w| <= max_len.
 
-        Reports violating words: "prolongability" names a member w whose
-        extension w0 is missing (the reported word is w0), and
-        "prefix-closure" names a member ending in 0 whose prefix is not a
-        member.  holds_up_to is one less than the length of the first
-        violating word (max_len when the condition holds throughout).
+        Decided from the greatest words, without listing the language.
+        Write L_k for the members of length k, M_k = lex_max(k), N_k for
+        the first k letters of M_{k+1}, and G_k for the length-k words
+        whose every suffix s has s <= N_{|s|}; w0 is a member exactly
+        when w lies in G_k, so the condition at length k is L_k = G_k.
+        Given it at every shorter length, it holds at k exactly when
+        M_k <= N_k and max G_k <= M_k.
+
+        At the first length k where it fails, holds_up_to is k and
+        first_violation is the least word of L_k above N_k
+        ("prolongability": w is a member, w0 is not) or of G_k above M_k
+        ("prefix-closure": w0 is a member, w is not), whichever is
+        smaller, with 0 appended.  holds_up_to is max_len when the
+        condition holds throughout.
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
-        levels = self.members_by_length(max_len + 1)
-        violations = []
-        first = None
-        holds_up_to = max_len
-        for length in range(1, max_len + 2):
-            found = []
-            for w in levels[length]:
-                if w[-1] == 0 and w[:-1] not in levels[length - 1]:
-                    found.append(Violation(w, "prefix-closure"))
-            for w in levels[length - 1]:
-                if length - 1 <= max_len and w + (0,) not in levels[length]:
-                    found.append(Violation(w + (0,), "prolongability"))
-            if found:
-                found.sort(key=lambda v: v.word)
-                violations.extend(found)
-                if first is None:
-                    first = found[0]
-                    holds_up_to = length - 1
-        return BertrandReport(max_len, holds_up_to, first, violations)
+        top = self.alphabet_max
+        # a system whose values break anywhere up to max_len + 1 is
+        # rejected, whatever length its first violation has
+        self.u(max_len + 1)
+
+        greatest = [self.lex_max(0), self.lex_max(1)]  # M_j at index j
+        prolonged = [()]  # N_j at index j
+        for k in range(1, max_len + 1):
+            greatest.append(self.lex_max(k + 1))
+            prolonged.append(greatest[k + 1][:k])
+            m, n = greatest[k], prolonged[k]
+            if m <= n and greatest_word(k, top, prolonged.__getitem__) <= m:
+                continue
+            w, kind = min(
+                (w, kind)
+                for w, kind in (
+                    (least_word_above(n, top, greatest.__getitem__), "prolongability"),
+                    (least_word_above(m, top, prolonged.__getitem__), "prefix-closure"),
+                )
+                if w is not None
+            )
+            return BertrandReport(max_len, k, Violation(w + (0,), kind))
+        return BertrandReport(max_len, max_len, None)
 
     # -- serialization -----------------------------------------------------------
 

@@ -186,14 +186,56 @@ def suffixes_at_most(w: DigitWord, greatest) -> bool:
 
     The suffix criterion (Parry 1960): with the greatest members of each
     length it decides a numeration language, with the prefixes of an
-    expansion of 1 the factors of a beta-shift.
+    expansion of 1 the factors of a beta-shift.  Longer suffixes are
+    tried first: when a greedy search appends a letter that is too
+    large, the suffix that fails is usually the whole word.
     """
     w = tuple(w)
     n = len(w)
-    for i in range(1, n + 1):
+    for i in range(n, 0, -1):
         if w[n - i :] > greatest(i):
             return False
     return True
+
+
+def _completable(prefix: DigitWord, length: int, greatest) -> bool:
+    # Padding with zeros is the least completion of a prefix, and a suffix
+    # s of the prefix padded to s 0^r is <= g exactly when s <= g[:|s|].
+    r = length - len(prefix)
+    return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
+
+
+def greatest_word(length: int, top: int, greatest) -> DigitWord:
+    """The greatest word of the given length over 0..top whose every
+    suffix s has s <= greatest(|s|).
+
+    One greedy pass from the left: each letter is the largest one that
+    leaves a completable prefix.  The zero word always qualifies.
+    """
+    w = ()
+    for _ in range(length):
+        d = next(d for d in range(top, -1, -1) if _completable(w + (d,), length, greatest))
+        w += (d,)
+    return w
+
+
+def least_word_above(v: DigitWord, top: int, greatest) -> DigitWord | None:
+    """The least word of length |v| over 0..top that is above v and whose
+    every suffix s has s <= greatest(|s|); None when there is none.
+
+    The answer keeps the longest completable prefix of v it can, raises
+    the next letter as little as possible and pads with zeros.
+    """
+    v = tuple(v)
+    n = len(v)
+    p = 0
+    while p < n and _completable(v[: p + 1], n, greatest):
+        p += 1
+    for p in range(min(p, n - 1), -1, -1):
+        for d in range(v[p] + 1, top + 1):
+            if _completable(v[:p] + (d,), n, greatest):
+                return v[:p] + (d,) + (0,) * (n - p - 1)
+    return None
 
 
 def quasi_to_greedy(a: EPWord) -> EPWord:

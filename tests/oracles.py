@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase
+from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase, Violation
 from bertrandnum import polynomials as pl
 
 
@@ -68,6 +68,60 @@ def count_length(s: NumSys, i: int) -> int:
     return sum(states.values())
 
 
+def members_by_length(s: NumSys, max_len: int) -> list:
+    """Level sets of the numeration language up to max_len.
+
+    Built by prepending letters: the language is closed under taking
+    suffixes, so a word belongs to level L+1 exactly when its tail
+    lies in level L and the whole word is at most lex_max(L+1).
+    """
+    alphabet = range(s.alphabet_max + 1)
+    levels = [{()}]
+    for length in range(1, max_len + 1):
+        bound = s.lex_max(length)
+        level = set()
+        for tail in levels[-1]:
+            for c in alphabet:
+                w = (c,) + tail
+                if w <= bound:
+                    level.add(w)
+        levels.append(level)
+    return levels
+
+
+def bertrand_violations(s: NumSys, max_len: int) -> tuple[int, list]:
+    """The Bertrand condition w in L <=> w0 in L by listing the language
+    through length max_len + 1.
+
+    Returns holds_up_to (one less than the length of the first violating
+    word, max_len when there is none) and every violation, sorted within
+    each length: "prolongability" names w0 for a member w whose
+    extension is missing, "prefix-closure" a member w0 whose prefix w is
+    not a member.
+    """
+    if max_len < 1:
+        raise NumerationError("max_len must be >= 1")
+    levels = members_by_length(s, max_len + 1)
+    violations = []
+    first = None
+    holds_up_to = max_len
+    for length in range(1, max_len + 2):
+        found = []
+        for w in levels[length]:
+            if w[-1] == 0 and w[:-1] not in levels[length - 1]:
+                found.append(Violation(w, "prefix-closure"))
+        for w in levels[length - 1]:
+            if length - 1 <= max_len and w + (0,) not in levels[length]:
+                found.append(Violation(w + (0,), "prolongability"))
+        if found:
+            found.sort(key=lambda v: v.word)
+            violations.extend(found)
+            if first is None:
+                first = found[0]
+                holds_up_to = length - 1
+    return holds_up_to, violations
+
+
 @dataclass
 class EquivReport:
     max_len: int
@@ -82,7 +136,7 @@ def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
     """Exhaustively compare DFA acceptance with the numeration language,
     level by level, for all words up to max_len over the union alphabet."""
     alphabet = sorted(set(dfa.alphabet) | set(range(s.alphabet_max + 1)))
-    levels = s.members_by_length(max_len)
+    levels = members_by_length(s, max_len)
     # survivors of the DFA walk, word -> state
     walk = {(): dfa.initial}
     for length in range(max_len + 1):

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from bertrandnum import format_word
 from bertrandnum.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_system
+from oracles import bertrand_violations
 
 
 def run(capsys, *argv):
@@ -99,7 +101,40 @@ def test_check_bertrand(capsys):
         capsys, "check-bertrand", "--system", system, "--max-len", "4", "--json"
     )
     data = json.loads(out)
-    assert {"word": "50", "kind": "prefix-closure"} in data["violations"]
+    _, violations = bertrand_violations(load_system("ex31_not_prefix_closed"), 4)
+    assert ((5, 0), "prefix-closure") in [(v.word, v.kind) for v in violations]
+    first = violations[0]
+    assert data["first_violation"] == {"word": format_word(first.word), "kind": first.kind}
+
+
+def test_check_bertrand_json_carries_only_the_first_violation(capsys):
+    system = str(FIXTURES / "ex31_not_prefix_closed.json")
+    code, out, _ = run(
+        capsys, "check-bertrand", "--system", system, "--max-len", "6", "--json"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "holds_up_to": 1,
+        "first_violation": {"word": "20", "kind": "prefix-closure"},
+    }
+
+
+# Lengths at which the language has far too many words to list: at 41 in
+# base 3 it has U(41) = (3^42 - 1) / 2 of them.
+
+
+def test_classify_large_probe(capsys):
+    system = str(FIXTURES / "base3_noncanonical.json")
+    code, out, _ = run(capsys, "classify", "--system", system, "--probe", "40")
+    assert code == 0
+    assert out == "Case 3: non-canonical system of beta = 3 [certified]"
+
+
+def test_check_bertrand_large_max_len(capsys):
+    system = str(FIXTURES / "zeckendorf.json")
+    code, out, _ = run(capsys, "check-bertrand", "--system", system, "--max-len", "40")
+    assert code == 0
+    assert out == "holds up to length 40"
 
 
 def test_check_bertrand_infers_alphabet_from_initial_values(capsys, tmp_path):

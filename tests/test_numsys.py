@@ -2,11 +2,20 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bertrandnum import NumSys, NumerationError, epword, parse_system
+from bertrandnum import (
+    NumSys,
+    NumerationError,
+    Violation,
+    epword,
+    format_epword,
+    is_parry_valid,
+    parse_system,
+)
 
 from conftest import FIXTURES, load_system
-from oracles import count_length, member_direct
+from oracles import bertrand_violations, count_length, member_direct, members_by_length
 
 ALL_FIXTURES = [
     "zeckendorf",
@@ -106,7 +115,7 @@ def test_lex_max_closed_forms(ex53_oscillating, zeckendorf):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_lex_max_is_maximal(name):
     s = load_system(name)
-    levels = s.members_by_length(8)
+    levels = members_by_length(s, 8)
     for i in range(9):
         assert s.lex_max(i) == max(levels[i])
 
@@ -135,7 +144,7 @@ def test_levels_equal_padded_representations(name):
     # for every word of each length at once
     s = load_system(name)
     max_len = 6 if name == "ex31_not_prefix_closed" else 8
-    levels = s.members_by_length(max_len)
+    levels = members_by_length(s, max_len)
     for length in range(max_len + 1):
         padded = set()
         for n in range(s.u(length)):
@@ -155,7 +164,7 @@ def test_member_agrees_with_direct_check_sampled(name):
 @pytest.mark.parametrize("name", BERTRAND_FIXTURES)
 def test_factorial_language(name):
     s = load_system(name)
-    for length, level in enumerate(s.members_by_length(8)):
+    for length, level in enumerate(members_by_length(s, 8)):
         for w in level:
             for i in range(length):
                 for j in range(i, length + 1):
@@ -197,15 +206,84 @@ def test_check_bertrand_not_prefix_closed(ex31_not_prefix_closed):
     report = ex31_not_prefix_closed.check_bertrand(4)
     assert not report.holds
     assert report.first_violation.kind == "prefix-closure"
-    # the illustrative pair 50/5 is among the reported violations; the
+    # the illustrative pair 50/5 is among the violations; the
     # lexicographically first violating word happens to be 20
-    assert ((5, 0), "prefix-closure") in [(v.word, v.kind) for v in report.violations]
+    _, violations = bertrand_violations(ex31_not_prefix_closed, 4)
+    assert ((5, 0), "prefix-closure") in [(v.word, v.kind) for v in violations]
+    assert report.first_violation == violations[0]
     assert report.first_violation.word == (2, 0)
 
 
 @pytest.mark.parametrize("name", BERTRAND_FIXTURES)
 def test_check_bertrand_holds_on_bertrand_fixtures(name):
     assert load_system(name).check_bertrand(7).holds
+
+
+def test_check_bertrand_rejects_values_that_break_after_the_first_violation():
+    # 20 (prolongability) at length 1, while U = 1, 3, 4, 5, 3 stops increasing
+    data = {"initial": [1, 3, 4], "recurrence": {"coeffs": [1, 1, -2]}, "alphabet_max": 2}
+    report = NumSys.from_json(data).check_bertrand(2)
+    assert report.first_violation == Violation((2, 0), "prolongability")
+    for check in (NumSys.check_bertrand, bertrand_violations):
+        with pytest.raises(NumerationError, match="not strictly increasing at U"):
+            check(NumSys.from_json(data), 3)
+
+
+@st.composite
+def recurrence_systems(draw):
+    """Recurrences of order <= 3 with coefficients 0..3, addend 0 or 1 and
+    an inferred alphabet of at most 0..4, as system JSON."""
+    order = draw(st.integers(1, 3))
+    initial = [1]
+    for _ in range(order - 1):
+        initial.append(initial[-1] + draw(st.integers(1, 4)))
+    data = {
+        "initial": initial,
+        "recurrence": {
+            "coeffs": draw(st.lists(st.integers(0, 3), min_size=order, max_size=order)),
+            "addend": draw(st.integers(0, 1)),
+        },
+    }
+    try:
+        assume(NumSys.from_json(data).alphabet_max <= 4)
+    except NumerationError:
+        assume(False)
+    return data
+
+
+@st.composite
+def generating_words(draw):
+    """Eventually periodic words over 0..3 with a nonzero first letter."""
+    pre = draw(st.lists(st.integers(0, 3), max_size=3))
+    per = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    word = epword(pre, per)
+    assume(word.digit(0) >= 1)
+    return word
+
+
+parry_words = generating_words().filter(is_parry_valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        recurrence_systems(),
+        parry_words.map(lambda w: {"bertrand": {"word": format_epword(w)}}),
+        generating_words().map(lambda w: {"bertrand": {"word": format_epword(w)}}),
+    ),
+    st.integers(1, 6),
+)
+def test_check_bertrand_matches_enumeration(data, max_len):
+    try:
+        holds_up_to, violations = bertrand_violations(NumSys.from_json(data), max_len)
+    except NumerationError:
+        # a word with a letter above its first one breaks its own alphabet
+        with pytest.raises(NumerationError):
+            NumSys.from_json(data).check_bertrand(max_len)
+        return
+    report = NumSys.from_json(data).check_bertrand(max_len)
+    assert report.holds_up_to == holds_up_to
+    assert report.first_violation == (violations[0] if violations else None)
 
 
 # ---------------------------------------------------------------------------

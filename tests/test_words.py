@@ -15,7 +15,9 @@ from bertrandnum import (
     parse_word,
     quasi_to_greedy,
     shift,
+    suffixes_at_most,
 )
+from bertrandnum.words import greatest_word, least_word_above
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: compare digit streams position by position
@@ -202,6 +204,37 @@ def test_quasi_to_greedy_outputs_strictly_dominated():
         if is_parry_valid(a, strict=False):
             d = quasi_to_greedy(a)
             assert is_parry_valid(d, strict=True), (a, d)
+
+
+# ---------------------------------------------------------------------------
+# extremal words under the suffix criterion
+
+
+@st.composite
+def suffix_bounds(draw):
+    """A length, a top letter and one arbitrary bound word per length."""
+    length = draw(st.integers(0, 5))
+    top = draw(st.integers(0, 3))
+    bounds = [()] + [
+        tuple(draw(st.lists(st.integers(0, 3), min_size=i, max_size=i)))
+        for i in range(1, length + 1)
+    ]
+    return length, top, bounds
+
+
+@given(suffix_bounds(), st.data())
+def test_extremal_words_match_brute_force(case, data):
+    length, top, bounds = case
+    words = sorted(
+        w
+        for w in itertools.product(range(top + 1), repeat=length)
+        if suffixes_at_most(w, bounds.__getitem__)
+    )
+    assert greatest_word(length, top, bounds.__getitem__) == words[-1]
+    v = tuple(data.draw(st.lists(st.integers(0, top), min_size=length, max_size=length)))
+    above = [w for w in words if w > v]
+    expected = above[0] if above else None
+    assert least_word_above(v, top, bounds.__getitem__) == expected
 
 
 # ---------------------------------------------------------------------------
