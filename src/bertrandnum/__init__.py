@@ -44,10 +44,8 @@ from .bertrand import (
     ClassifyResult,
     CountingIdentityReport,
     build_bertrand,
-    certify_generating_word,
     char_poly,
     classify_bertrand,
-    recurrence_from_char_poly,
     verify_counting_identity,
 )
 from .automata import Dfa, build_shift_dfa

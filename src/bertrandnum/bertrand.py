@@ -6,7 +6,9 @@ quasi-greedy expansion of 1 of some base beta > 1 (the canonical
 system); or the system generated from the greedy expansion itself (the
 non-canonical system, distinct from the canonical one exactly when the
 greedy expansion of 1 is finite).  Both generated families obey
-U(i) = a1 U(i-1) + ... + ai U(0) + 1 for the generating word a.
+U(i) = a1 U(i-1) + ... + ai U(0) + 1 for the generating word a, and
+every system has a unique generating word for which it obeys that rule;
+classification reads it with NumSys.scan_generating_word.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from . import polynomials as pl
 from .errors import NumerationError
-from .numsys import BertrandRule, NumSys, Recurrence, Violation
+from .numsys import NumSys, Violation
 from .realbase import (
     RealBase,
     _check_variant,
@@ -24,7 +26,7 @@ from .realbase import (
     generating_word,
     simple_expansion_polynomial,
 )
-from .words import EPWord, epword, is_parry_valid, quasi_to_greedy
+from .words import EPWord, epword, quasi_to_greedy
 
 
 def build_bertrand(base: RealBase, variant: str) -> NumSys:
@@ -66,18 +68,6 @@ def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
     return expansion_polynomial(word)
 
 
-def recurrence_from_char_poly(p: pl.IntPoly):
-    """Turn a monic characteristic polynomial into recurrence coefficients.
-
-    X^D + c_{D-1} X^{D-1} + ... + c_0 maps to
-    u(i) = -c_{D-1} u(i-1) - ... - c_0 u(i-D).
-    """
-    d = pl.degree(p)
-    if d < 1 or p[d] != 1:
-        raise NumerationError("characteristic polynomial must be monic")
-    return [-p[d - 1 - j] for j in range(d)]
-
-
 # -- classification ------------------------------------------------------------
 
 
@@ -86,150 +76,42 @@ class ClassifyResult:
     """Outcome of classifying a positional system against the trichotomy.
 
     case is "case1" (U(i) = i + 1), "case2" (language of the canonical
-    shift of `base`), "case3" (language of the non-canonical shift),
-    "not_bertrand" (with the violating word as witness) or
-    "undetermined" (Bertrand so far, but no eventual periodicity was
-    detected in the extracted word).  `certified` marks verdicts backed
-    by an exact argument: a violating word, or agreement of the system
-    with the word-generated recurrence on enough terms to pin both
-    solutions of a common linear recurrence.  Uncertified verdicts are
-    only consistent up to `probe_len`.
+    shift of `base`), "case3" (language of the non-canonical shift) or
+    "not_bertrand" (with the first violating word as witness).  Every
+    verdict is exact: `word` is the generating word of U, read until it
+    repeats or fails, and does not depend on `probe_len`, the length
+    through which the values of U were checked.
     """
 
     case: str
     base: RealBase | None
     word: EPWord | None
-    certified: bool
     probe_len: int
     witness: Violation | None = None
-    note: str = ""
-
-
-def _system_char_poly(s: NumSys):
-    """A characteristic polynomial annihilating U, and the index it holds from."""
-    g = s.generator
-    if isinstance(g, BertrandRule):
-        p = expansion_polynomial(g.word)
-        return p, pl.degree(p)
-    assert isinstance(g, Recurrence)
-    k = len(g.coeffs)
-    p = pl.poly([-c for c in reversed(g.coeffs)] + [1])
-    start = len(g.initial)
-    if g.addend:
-        p = pl.mul(p, (-1, 1))  # (X - 1) absorbs the constant term
-        start += 1
-    return p, start
-
-
-def certify_generating_word(s: NumSys, word: EPWord) -> bool:
-    """Exactly decide whether U equals the system generated by `word`.
-
-    Both sequences eventually satisfy linear recurrences, hence both
-    satisfy the product recurrence; agreement on the finitely many
-    indices below the common validity point plus one full window of the
-    product recurrence forces agreement everywhere.
-    """
-    try:
-        candidate = NumSys.from_word(word)
-    except NumerationError:
-        return False
-    c_w = expansion_polynomial(word)
-    p_s, s_start = _system_char_poly(s)
-    deg_q = pl.degree(c_w) + pl.degree(p_s)
-    i1 = max(s_start + pl.degree(c_w), deg_q)
-    try:
-        return all(s.u(i) == candidate.u(i) for i in range(i1 + deg_q + 1))
-    except NumerationError:
-        return False
-
-
-def _periodicity_candidates(prefix: tuple):
-    """Plausible (preperiod, period) splits of an eventually periodic prefix.
-
-    Yields canonical words, smallest period first, requiring at least two
-    full periods to be visible.
-    """
-    length = len(prefix)
-    seen = set()
-    for n in range(1, length // 2 + 1):
-        for m in range(0, length - 2 * n + 1):
-            if all(prefix[i] == prefix[i + n] for i in range(m, length - n)):
-                w = epword(prefix[:m], prefix[m : m + n])
-                if w not in seen:
-                    seen.add(w)
-                    yield w
-                break  # larger m with the same n adds nothing new
+    certified = True  # every verdict is exact; kept for readers of the old field
 
 
 def classify_bertrand(s: NumSys, probe_len: int) -> ClassifyResult:
     """Decide which arm of the Bertrand trichotomy a system falls in.
 
-    Checks the Bertrand condition up to probe_len, extracts the limit of
-    the greatest words of each length, detects eventual periodicity in
-    it, and certifies the detected word against the system's recurrence.
+    The generating word of U decides it (NumSys.scan_generating_word).
+    A system that is not Bertrand gets the first violation of
+    check_bertrand at the length where the word fails.  The values of U
+    through probe_len + 1 are checked first, so bad values there are
+    rejected.
     """
     if probe_len < 2:
         raise NumerationError("probe_len must be >= 2")
-    report = s.check_bertrand(probe_len)
-    if not report.holds:
-        return ClassifyResult(
-            "not_bertrand",
-            None,
-            None,
-            certified=True,
-            probe_len=probe_len,
-            witness=report.first_violation,
-        )
-    prefix = s.lex_max(probe_len)
-    candidates = []
-    if isinstance(s.generator, BertrandRule):
-        candidates.append(s.generator.word)
-    candidates.extend(_periodicity_candidates(prefix))
-    tried = []
-    for word in candidates:
-        if word in tried:
-            continue
-        tried.append(word)
-        if word.prefix(probe_len) != prefix:
-            continue
-        if not is_parry_valid(word, strict=False):
-            continue
-        certified = certify_generating_word(s, word)
-        result = _dispatch_case(word, probe_len, certified)
-        if certified:
-            return result
-    if tried:
-        result = _dispatch_case(tried[0], probe_len, certified=False)
-        result.note = f"consistent up to probe_len={probe_len}, not certified"
-        return result
-    return ClassifyResult(
-        "undetermined",
-        None,
-        None,
-        certified=False,
-        probe_len=probe_len,
-        note=f"no eventual periodicity detected within probe_len={probe_len}",
-    )
-
-
-def _dispatch_case(word: EPWord, probe_len: int, certified: bool) -> ClassifyResult:
+    s.u(probe_len + 1)
+    word, fails_at = s.scan_generating_word()
+    if word is None:
+        witness = s.check_bertrand(fails_at - 1).first_violation
+        return ClassifyResult("not_bertrand", None, None, probe_len, witness)
     if word == epword((1,), (0,)):
-        return ClassifyResult("case1", None, word, certified, probe_len)
-    try:
-        if word.purely_periodic:
-            base = base_from_expansion(quasi_to_greedy(word))
-            return ClassifyResult("case2", base, word, certified, probe_len)
-        base = base_from_expansion(word)
-        return ClassifyResult("case3", base, word, certified, probe_len)
-    except NumerationError as exc:
-        return ClassifyResult(
-            "undetermined",
-            None,
-            word,
-            certified=False,
-            probe_len=probe_len,
-            note=f"could not recover a base from {word}: {exc}",
-        )
+        return ClassifyResult("case1", None, word, probe_len)
+    if word.purely_periodic:
+        return ClassifyResult("case2", base_from_expansion(quasi_to_greedy(word)), word, probe_len)
+    return ClassifyResult("case3", base_from_expansion(word), word, probe_len)
 
 
 # -- the canonical / non-canonical counting identity ----------------------------

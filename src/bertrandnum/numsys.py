@@ -14,24 +14,28 @@ lexicographically at most the greatest word of the same length,
 rep(U(i) - 1).
 
 The Bertrand condition (w is a member exactly when w0 is) is decided
-from the greatest words as well, without listing the language.  With
-M_k = rep(U(k) - 1) and N_k the first k letters of M_{k+1}, it holds for
-every word of length at most n exactly when, for every k <= n, M_k <= N_k
-and the greatest length-k word whose every suffix s has s <= N_{|s|} is
-at most M_k.
+from the generating word a of U, a_i = U(i) - 1 - sum_{j<i} a_j U(i-j),
+read one letter at a time: it holds for every word of length at most n
+exactly when a_1..a_{n+1} has no negative letter and none of its factors
+is above the prefix of a of the same length.  The letters follow one
+linear recurrence, so they are eventually periodic or eventually break
+that test (Fatou 1906), and the scan always ends.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import NumerationError
 from .words import (
     DigitWord,
     EPWord,
+    epword,
     format_epword,
-    greatest_word,
+    is_parry_valid,
     least_word_above,
     parse_epword,
     suffixes_at_most,
@@ -222,20 +226,38 @@ class NumSys:
     def check_bertrand(self, max_len: int) -> BertrandReport:
         """Decide w in language <=> w0 in language for all |w| <= max_len.
 
-        Decided from the greatest words, without listing the language.
-        Write L_k for the members of length k, M_k = lex_max(k), N_k for
-        the first k letters of M_{k+1}, and G_k for the length-k words
-        whose every suffix s has s <= N_{|s|}; w0 is a member exactly
-        when w lies in G_k, so the condition at length k is L_k = G_k.
-        Given it at every shorter length, it holds at k exactly when
-        M_k <= N_k and max G_k <= M_k.
+        Write M_j = lex_max(j) and a for the generating word of U (see
+        scan_generating_word).  The condition holds for every |w| <= k
+        exactly when a_1..a_{k+1} passes the scan: no letter is negative
+        and no factor is above the prefix of a of the same length.
 
-        At the first length k where it fails, holds_up_to is k and
-        first_violation is the least word of L_k above N_k
-        ("prolongability": w is a member, w0 is not) or of G_k above M_k
-        ("prefix-closure": w0 is a member, w is not), whichever is
-        smaller, with 0 appended.  holds_up_to is max_len when the
-        condition holds throughout.
+        Proof.  (1) The scan passes a_1..a_n exactly when M_j = a_1..a_j
+        for every j <= n.  If it passes, induct on j: the letters are
+        nonnegative, a_1..a_j has value U(j) - 1 by the definition of
+        a, and each proper suffix s of it is a member, because s and its
+        own suffixes are at most the prefixes a_1..a_i = M_i of their
+        lengths; so every suffix of a_1..a_j has value below U(its
+        length), which makes a_1..a_j greedy: it is M_j.  Conversely a
+        factor of a_1..a_n is a suffix of a member M_t, hence a member,
+        hence at most the greatest member M_r = a_1..a_r of its length.
+        (2) The condition holds for |w| <= k exactly when M_j = a_1..a_j
+        for every j <= k + 1.  If so and |w| <= k, each suffix s0 of w0
+        has s0 <= a_1..a_{|s|+1} exactly when s <= a_1..a_{|s|}, since
+        a_{|s|+1} >= 0, and 0 is a member: w0 is a member exactly when w
+        is.  Conversely M_1 = a_1, and if M_i = a_1..a_i for i <= j <= k,
+        write M_{j+1} = p d.  Each suffix of p0 is at most the matching
+        suffix of p d, so p0 is a member, then p is, and p <= M_j; M_j
+        is a member, then so is M_j 0 <= M_{j+1}, and M_j <= p.  So
+        p = a_1..a_j, and the value U(j+1) - 1 of M_{j+1} makes
+        d = a_{j+1}.
+
+        So holds_up_to is one less than the first index where the scan
+        fails, or max_len.  At the failing length k, with N_k the first
+        k letters of M_{k+1}, first_violation is the least member of
+        length k above N_k ("prolongability": w is a member, w0 is not)
+        or the least word above M_k whose every suffix s has
+        s <= N_{|s|} ("prefix-closure": w0 is a member, w is not),
+        whichever is smaller, with 0 appended.
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
@@ -243,25 +265,86 @@ class NumSys:
         # a system whose values break anywhere up to max_len + 1 is
         # rejected, whatever length its first violation has
         self.u(max_len + 1)
-
-        greatest = [self.lex_max(0), self.lex_max(1)]  # M_j at index j
-        prolonged = [()]  # N_j at index j
-        for k in range(1, max_len + 1):
-            greatest.append(self.lex_max(k + 1))
-            prolonged.append(greatest[k + 1][:k])
-            m, n = greatest[k], prolonged[k]
-            if m <= n and greatest_word(k, top, prolonged.__getitem__) <= m:
-                continue
-            w, kind = min(
-                (w, kind)
-                for w, kind in (
-                    (least_word_above(n, top, greatest.__getitem__), "prolongability"),
-                    (least_word_above(m, top, prolonged.__getitem__), "prefix-closure"),
-                )
-                if w is not None
+        _, fails_at = self.scan_generating_word(max_len + 1)
+        if fails_at is None:
+            return BertrandReport(max_len, max_len, None)
+        k = fails_at - 1
+        m, n = self.lex_max(k), self.lex_max(k + 1)[:k]  # M_k = a_1..a_k, N_k
+        w, kind = min(
+            (w, kind)
+            for w, kind in (
+                (least_word_above(n, top, lambda j: m[:j]), "prolongability"),
+                (least_word_above(m, top, lambda j: n if j == k else m[:j]), "prefix-closure"),
             )
-            return BertrandReport(max_len, k, Violation(w + (0,), kind))
-        return BertrandReport(max_len, max_len, None)
+            if w is not None
+        )
+        return BertrandReport(max_len, k, Violation(w + (0,), kind))
+
+    def scan_generating_word(self, limit: int | None = None):
+        """Read the generating word a of U until it decides the Bertrand
+        condition: a_i = U(i) - 1 - sum_{j<i} a_j U(i-j).
+
+        Returns (word, None) when a is an eventually periodic word every
+        shift of which is at most a itself (then U is Bertrand: a is
+        10^w or an expansion of 1), (None, i) when a_1..a_i is the
+        shortest prefix with a negative letter or a factor above the
+        prefix of a of the same length, and (None, None) when the first
+        `limit` letters decide neither.
+
+        The factor test is Duval's (1983) with the order reversed: one
+        comparison per letter.  Brent's (1980) cycle detection watches
+        the windows of letters that determine the next one; a repeated
+        window proves a eventually periodic.  The letters are integers
+        with a rational generating function, so if a is not eventually
+        periodic it is unbounded (Fatou 1906) and some letter leaves
+        0..a_1: the scan ends without a limit.
+        """
+        letters, order, start = self._letters()
+        a = []
+        period = 1  # a_1..a_i is a prefix of (a_1..a_period)^w
+        saved, saved_at, power = None, start - 1, 1
+        for i, x in enumerate(itertools.islice(letters, limit), 1):
+            ref = a[-period] if a else x
+            if x < 0 or x > ref:
+                return None, i
+            if x < ref:
+                period = i
+            a.append(x)
+            if i < start:
+                continue
+            window = tuple(a[i - order :])
+            if window == saved:
+                # the windows repeat from saved_at on, so the letters do
+                # from the first letter of the saved window on
+                word = epword(a[: saved_at - order], a[saved_at - order : i - order])
+                if is_parry_valid(word, strict=False):
+                    return word, None
+                start = float("inf")  # a shift exceeds a: scan on to the index
+            elif i - saved_at == power:
+                saved, saved_at, power = window, i, 2 * power
+        return None, None
+
+    def _letters(self):
+        """The letters a_1, a_2, ... of the generating word, with `order`
+        and `start`: past index start, each letter is a fixed function of
+        the order letters before it."""
+        g = self.generator
+        if isinstance(g, BertrandRule):
+            w = g.word
+            return map(w.digit, itertools.count()), len(w.per), len(w.pre) + len(w.per)
+        # 1 / ((1 - x) U(x)) = C(x) / R(x) with C = 1 - sum c_j x^j and
+        # R = (1 - x) C(x) U(x), a polynomial of degree <= len(initial):
+        # past the initial values, C(x) U(x) has every coefficient equal
+        # to the addend.  A = 1 - C/R gives R(x) A(x) = R(x) - C(x).
+        c, u = (0,) + g.coeffs, g.initial
+        p = [
+            u[i] - sum(c[j] * u[i - j] for j in range(1, min(i + 1, len(c))))
+            for i in range(len(u))
+        ]
+        r = [1] + [p[i] - p[i - 1] for i in range(1, len(u))] + [g.addend - p[-1]]
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+        return _recurrent_letters(c, r), len(r) - 1, max(len(c), len(r)) - 1
 
     # -- serialization -----------------------------------------------------------
 
@@ -295,6 +378,17 @@ class NumSys:
         if isinstance(g, BertrandRule):
             return f"NumSys(word={format_epword(g.word)})"
         return f"NumSys(initial={list(g.initial)}, coeffs={list(g.coeffs)}, addend={g.addend})"
+
+
+def _recurrent_letters(c, r):
+    """a_i = c_i + r_i - sum_{1 <= j < i} r_j a_{i-j}, the coefficients of
+    R - C over R (c_0 = 0, r_0 = 1, both zero past their ends)."""
+    last = deque(maxlen=len(r) - 1)
+    for i in itertools.count(1):
+        x = (c[i] if i < len(c) else 0) + (r[i] if i < len(r) else 0)
+        x -= sum(r[j] * last[-j] for j in range(1, min(i, len(r))))
+        last.append(x)
+        yield x
 
 
 def parse_system(text: str) -> NumSys:

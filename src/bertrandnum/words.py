@@ -205,20 +205,6 @@ def _completable(prefix: DigitWord, length: int, greatest) -> bool:
     return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
 
 
-def greatest_word(length: int, top: int, greatest) -> DigitWord:
-    """The greatest word of the given length over 0..top whose every
-    suffix s has s <= greatest(|s|).
-
-    One greedy pass from the left: each letter is the largest one that
-    leaves a completable prefix.  The zero word always qualifies.
-    """
-    w = ()
-    for _ in range(length):
-        d = next(d for d in range(top, -1, -1) if _completable(w + (d,), length, greatest))
-        w += (d,)
-    return w
-
-
 def least_word_above(v: DigitWord, top: int, greatest) -> DigitWord | None:
     """The least word of length |v| over 0..top that is above v and whose
     every suffix s has s <= greatest(|s|); None when there is none.

@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from bertrandnum import NumSys, RealBase
+from bertrandnum import NumSys, RealBase, epword, format_epword
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,6 +52,35 @@ def ex53_oscillating():
 @pytest.fixture
 def phi_squared_system():
     return load_system("phi_squared")
+
+
+@st.composite
+def system_jsons(draw):
+    """System JSON of the two generator kinds: recurrences of order <= 3
+    with coefficients -1..3, addend 0..2 and increasing initial values,
+    with and without a declared alphabet; and Bertrand rules of
+    eventually periodic words over 0..3.  Many of them break their own
+    values or alphabet somewhere."""
+    if draw(st.booleans()):
+        pre = draw(st.lists(st.integers(0, 3), max_size=3))
+        per = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        word = epword(pre, per)
+        assume(word.digit(0) >= 1)
+        return {"bertrand": {"word": format_epword(word)}}
+    order = draw(st.integers(1, 3))
+    initial = [1]
+    for _ in range(order - 1 + draw(st.integers(0, 1))):
+        initial.append(initial[-1] + draw(st.integers(1, 4)))
+    data = {
+        "initial": initial,
+        "recurrence": {
+            "coeffs": draw(st.lists(st.integers(-1, 3), min_size=order, max_size=order)),
+            "addend": draw(st.integers(0, 2)),
+        },
+    }
+    if draw(st.booleans()):
+        data["alphabet_max"] = draw(st.integers(1, 4))
+    return data
 
 
 # exactly specified bases used all over the suite

@@ -8,8 +8,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bertrandnum import DigitWord, Dfa, NumerationError, NumSys, RealBase, Violation
+from bertrandnum import (
+    DigitWord,
+    Dfa,
+    EPWord,
+    NumerationError,
+    NumSys,
+    RealBase,
+    Violation,
+    expansion_polynomial,
+    suffixes_at_most,
+)
 from bertrandnum import polynomials as pl
+from bertrandnum.numsys import BertrandRule, Recurrence
 
 
 def member_direct(s: NumSys, w) -> bool:
@@ -120,6 +131,95 @@ def bertrand_violations(s: NumSys, max_len: int) -> tuple[int, list]:
                 first = found[0]
                 holds_up_to = length - 1
     return holds_up_to, violations
+
+
+def _completable(prefix: DigitWord, length: int, greatest) -> bool:
+    # zeros are the least completion, and s 0^r <= g exactly when s <= g[:|s|]
+    r = length - len(prefix)
+    return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
+
+
+def greatest_word(length: int, top: int, greatest) -> DigitWord:
+    """The greatest word of the given length over 0..top whose every
+    suffix s has s <= greatest(|s|), by one greedy pass from the left:
+    each letter is the largest one that leaves a completable prefix."""
+    w = ()
+    for _ in range(length):
+        d = next(d for d in range(top, -1, -1) if _completable(w + (d,), length, greatest))
+        w += (d,)
+    return w
+
+
+def bertrand_holds_up_to(s: NumSys, max_len: int) -> int:
+    """holds_up_to of the Bertrand condition from the greatest words,
+    length by length, without the generating word.
+
+    With M_k = lex_max(k), N_k the first k letters of M_{k+1} and G_k the
+    length-k words whose every suffix s has s <= N_{|s|} (w0 is a member
+    exactly when w lies in G_k), the condition holds at length k, given
+    it at every shorter length, exactly when M_k <= N_k and
+    max G_k <= M_k.
+    """
+    if max_len < 1:
+        raise NumerationError("max_len must be >= 1")
+    top = s.alphabet_max
+    s.u(max_len + 1)
+    prolonged = [()]  # N_j at index j
+    for k in range(1, max_len + 1):
+        prolonged.append(s.lex_max(k + 1)[:k])
+        m = s.lex_max(k)
+        if not (m <= prolonged[k] and greatest_word(k, top, prolonged.__getitem__) <= m):
+            return k
+    return max_len
+
+
+def _system_char_poly(s: NumSys):
+    """A characteristic polynomial annihilating U, and the index it holds from."""
+    g = s.generator
+    if isinstance(g, BertrandRule):
+        p = expansion_polynomial(g.word)
+        return p, pl.degree(p)
+    assert isinstance(g, Recurrence)
+    p = pl.poly([-c for c in reversed(g.coeffs)] + [1])
+    start = len(g.initial)
+    if g.addend:
+        p = pl.mul(p, (-1, 1))  # (X - 1) absorbs the constant term
+        start += 1
+    return p, start
+
+
+def certify_generating_word(s: NumSys, word: EPWord) -> bool:
+    """Exactly decide whether U equals the system generated by `word`.
+
+    Both sequences eventually satisfy linear recurrences, hence both
+    satisfy the product recurrence; agreement on the finitely many
+    indices below the common validity point plus one full window of the
+    product recurrence forces agreement everywhere.
+    """
+    try:
+        candidate = NumSys.from_word(word)
+    except NumerationError:
+        return False
+    c_w = expansion_polynomial(word)
+    p_s, s_start = _system_char_poly(s)
+    deg_q = pl.degree(c_w) + pl.degree(p_s)
+    i1 = max(s_start + pl.degree(c_w), deg_q)
+    try:
+        return all(s.u(i) == candidate.u(i) for i in range(i1 + deg_q + 1))
+    except NumerationError:
+        return False
+
+
+def recurrence_from_char_poly(p: pl.IntPoly):
+    """Turn a monic characteristic polynomial into recurrence coefficients.
+
+    X^D + c_{D-1} X^{D-1} + ... + c_0 maps to
+    u(i) = -c_{D-1} u(i-1) - ... - c_0 u(i-D).
+    """
+    d = pl.degree(p)
+    if d < 1 or p[d] != 1:
+        raise NumerationError("characteristic polynomial must be monic")
+    return [-p[d - 1 - j] for j in range(d)]
 
 
 @dataclass

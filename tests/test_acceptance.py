@@ -21,7 +21,6 @@ from bertrandnum import (
     entropy_estimates,
     epword,
     lexmax_convergence_probe,
-    recurrence_from_char_poly,
     renewal_empirical,
     renewal_target,
     verify_counting_identity,
@@ -33,10 +32,12 @@ from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
 from oracles import (
     bertrand_violations,
     ceil_minus_one,
+    certify_generating_word,
     dfa_equiv_language,
     floor_of,
     isomorphic_to,
     members_by_length,
+    recurrence_from_char_poly,
 )
 
 
@@ -106,7 +107,7 @@ def test_criterion_2_trichotomy_roundtrip():
         for variant in ("canonical", "noncanonical"):
             s = build_bertrand(base, variant)
             res = classify_bertrand(s, 9)
-            assert res.certified, (name, variant)
+            assert certify_generating_word(s, res.word), (name, variant)
             expected_case = (
                 ("case2" if variant == "canonical" else "case3")
                 if d.zero_tail

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bertrandnum import (
     NumSys,
@@ -7,21 +8,25 @@ from bertrandnum import (
     UnresolvedBaseError,
     build_bertrand,
     build_shift_dfa,
-    certify_generating_word,
     char_poly,
     classify_bertrand,
     epword,
     generating_word,
     parse_base,
-    recurrence_from_char_poly,
     renewal_target,
     shift_member,
     verify_counting_identity,
 )
 from bertrandnum import polynomials as pl
 
-from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import ceil_minus_one, floor_of
+from conftest import golden_ratio, golden_ratio_squared, load_system, system_jsons, tribonacci
+from oracles import (
+    bertrand_violations,
+    ceil_minus_one,
+    certify_generating_word,
+    floor_of,
+    recurrence_from_char_poly,
+)
 
 PARRY_BASES = {
     "2": (RealBase.integer, (2,)),
@@ -183,7 +188,7 @@ def test_char_poly_recurrence_reproduces_values(name, variant):
 def test_classify_zeckendorf(zeckendorf):
     res = classify_bertrand(zeckendorf, 9)
     assert res.case == "case2"
-    assert res.certified
+    assert certify_generating_word(zeckendorf, res.word)
     assert res.base.poly == (-1, -1, 1)
 
 
@@ -191,7 +196,7 @@ def test_classify_base3_noncanonical():
     s = NumSys.from_recurrence([1], [3], 1, 3)
     res = classify_bertrand(s, 9)
     assert res.case == "case3"
-    assert res.certified
+    assert certify_generating_word(s, res.word)
     assert res.base.kind == "integer" and res.base.value == 3
 
 
@@ -200,7 +205,7 @@ def test_classify_trivial_system():
     assert s.values(5) == [1, 2, 3, 4, 5]
     res = classify_bertrand(s, 9)
     assert res.case == "case1"
-    assert res.certified
+    assert certify_generating_word(s, res.word)
 
 
 def test_classify_not_bertrand(ex31_not_prolongable, ex31_not_prefix_closed):
@@ -222,7 +227,7 @@ def test_classify_phi_squared_system(phi_squared_system):
     # shifts coincide; the classifier reports the greedy-word arm
     res = classify_bertrand(phi_squared_system, 9)
     assert res.case == "case3"
-    assert res.certified
+    assert certify_generating_word(phi_squared_system, res.word)
     assert res.base.poly == (1, -3, 1)
     assert res.word == epword((2,), (1,))
 
@@ -233,7 +238,7 @@ def test_classify_roundtrip(name, variant):
     base = make_base(name)
     s = build_bertrand(base, variant)
     res = classify_bertrand(s, 9)
-    assert res.certified
+    assert certify_generating_word(s, res.word)
     d = base.require_parry()
     if d.zero_tail:
         assert res.case == ("case2" if variant == "canonical" else "case3")
@@ -245,11 +250,53 @@ def test_classify_roundtrip(name, variant):
 
 
 def test_classify_uncertified_on_aperiodic_prefix():
-    # a recurrence system whose greatest words show no periodicity in a
-    # short probe still gets an honest, uncertified answer
+    # U = 1, 3, 6, 10, 19, ...: its greatest words show no period within a
+    # short probe, but its generating word 2, -1, ... fails at once
     s = NumSys.from_recurrence([1, 3, 6], [1, 1, 1], 0)
     res = classify_bertrand(s, 6)
-    assert res.case in ("case2", "case3", "not_bertrand", "undetermined") or res.certified is False
+    assert res.case == "not_bertrand"
+    assert (res.witness.word, res.witness.kind) == ((2, 0), "prolongability")
+
+
+def test_classify_word_with_a_long_preperiod():
+    # U(i) = 3U(i-1) + 3U(i-2) - U(i-6) from six initial values is
+    # generated by 3232(31); its greatest words up to length 5 are also
+    # prefixes of (32)
+    s = NumSys.from_json(
+        {
+            "initial": [1, 4, 15, 57, 216, 819],
+            "recurrence": {"coeffs": [3, 3, 0, 0, 0, -1]},
+            "alphabet_max": 3,
+        }
+    )
+    res = classify_bertrand(s, 5)
+    assert res.case == "case3"
+    assert res.word == epword((3, 2, 3, 2), (3, 1))
+    assert certify_generating_word(s, res.word)
+    assert res.base.poly == (1, 0, 0, 0, -3, -3, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system_jsons(), st.integers(2, 9))
+def test_classify_verdicts_match_oracles(data, probe):
+    try:
+        res = classify_bertrand(NumSys.from_json(data), probe)
+    except NumerationError as exc:
+        # the values stop increasing or break the declared alphabet
+        assert "increasing" in str(exc) or "alphabet" in str(exc)
+        return
+    s = NumSys.from_json(data)
+    if res.case != "not_bertrand":
+        assert certify_generating_word(s, res.word)
+        shape = "case2" if res.word.purely_periodic else "case3"
+        assert res.case == ("case1" if res.word == epword((1,), (0,)) else shape)
+        return
+    k = len(res.witness.word) - 1
+    holds_up_to, violations = bertrand_violations(s, min(k, 6))
+    if k <= 6:
+        assert holds_up_to == k and violations[0] == res.witness
+    else:
+        assert not violations
 
 
 def test_certify_rejects_wrong_word(zeckendorf):

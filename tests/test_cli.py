@@ -155,6 +155,7 @@ def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--system", system, "--probe", "9", "--json")
     data = json.loads(out)
     assert data["case"] == "case2" and data["word"] == "(10)"
+    assert (data["certified"], data["note"], data["probe_len"]) == (True, "", 9)
 
 
 def test_classify_not_bertrand(capsys):
@@ -162,6 +163,21 @@ def test_classify_not_bertrand(capsys):
     code, out, _ = run(capsys, "classify", "--system", system, "--probe", "6")
     assert code == 0
     assert out == "not Bertrand: 20 (prolongability)"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_classify_verdict_does_not_depend_on_the_probe(capsys, name):
+    system = str(FIXTURES / f"{name}.json")
+    lines = {run(capsys, "classify", "--system", system, "--probe", p)[1] for p in ("2", "9", "40")}
+    assert len(lines) == 1, lines
+
+
+def test_classify_short_probe_finds_a_long_witness(capsys):
+    # the first violation has length 4, beyond what probe 2 checks
+    system = str(FIXTURES / "ex53_oscillating.json")
+    code, out, _ = run(capsys, "classify", "--system", system, "--probe", "2")
+    assert code == 0
+    assert out == "not Bertrand: 1100 (prefix-closure)"
 
 
 def test_charpoly(capsys):

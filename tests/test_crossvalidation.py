@@ -21,7 +21,7 @@ from bertrandnum import (
     shift_member,
 )
 
-from oracles import dfa_equiv_language
+from oracles import certify_generating_word, dfa_equiv_language
 
 
 def small_bases():
@@ -62,5 +62,5 @@ def test_system_automaton_membership_classifier_agree(word, variant):
     for w in itertools.product(range(s.alphabet_max + 2), repeat=3):
         assert shift_member(base, w, variant) == dfa.accepts(w), w
     res = classify_bertrand(s, 7)
-    assert res.certified
+    assert certify_generating_word(s, res.word)
     assert res.case in ("case2", "case3")

@@ -14,8 +14,14 @@ from bertrandnum import (
     parse_system,
 )
 
-from conftest import FIXTURES, load_system
-from oracles import bertrand_violations, count_length, member_direct, members_by_length
+from conftest import FIXTURES, load_system, system_jsons
+from oracles import (
+    bertrand_holds_up_to,
+    bertrand_violations,
+    count_length,
+    member_direct,
+    members_by_length,
+)
 
 ALL_FIXTURES = [
     "zeckendorf",
@@ -229,6 +235,17 @@ def test_check_bertrand_rejects_values_that_break_after_the_first_violation():
             check(NumSys.from_json(data), 3)
 
 
+def test_check_bertrand_scans_past_a_repeated_window():
+    # the windows of 110(1) repeat from its fourth letter on, before its
+    # factor 111 rises above the prefix 110 at the sixth
+    s = parse_system("bertrand:110(1)")
+    assert s.scan_generating_word() == (None, 6)
+    holds_up_to, violations = bertrand_violations(s, 5)
+    report = s.check_bertrand(40)
+    assert report.holds_up_to == holds_up_to == 5
+    assert report.first_violation == violations[0]
+
+
 @st.composite
 def recurrence_systems(draw):
     """Recurrences of order <= 3 with coefficients 0..3, addend 0 or 1 and
@@ -284,6 +301,18 @@ def test_check_bertrand_matches_enumeration(data, max_len):
     report = NumSys.from_json(data).check_bertrand(max_len)
     assert report.holds_up_to == holds_up_to
     assert report.first_violation == (violations[0] if violations else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system_jsons(), st.integers(1, 40))
+def test_check_bertrand_matches_greatest_words(data, max_len):
+    try:
+        expected = bertrand_holds_up_to(NumSys.from_json(data), max_len)
+    except NumerationError:
+        with pytest.raises(NumerationError):
+            NumSys.from_json(data).check_bertrand(max_len)
+        return
+    assert NumSys.from_json(data).check_bertrand(max_len).holds_up_to == expected
 
 
 # ---------------------------------------------------------------------------

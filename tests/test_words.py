@@ -17,7 +17,9 @@ from bertrandnum import (
     shift,
     suffixes_at_most,
 )
-from bertrandnum.words import greatest_word, least_word_above
+from bertrandnum.words import least_word_above
+
+from oracles import greatest_word
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: compare digit streams position by position
