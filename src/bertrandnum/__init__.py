@@ -36,8 +36,6 @@ from .realbase import (
     generating_word,
     parse_base,
     quasi_greedy_of,
-    shift_member,
-    simple_expansion_polynomial,
 )
 from .numsys import BertrandReport, NumSys, Violation, parse_system
 from .bertrand import (

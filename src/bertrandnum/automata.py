@@ -7,12 +7,16 @@ with the expansion digit advancing along that spine and every smaller
 digit falling back to the start.  The non-canonical shift of a simple
 Parry base adds one extra state reached by the last digit of the greedy
 expansion, carrying a 0-loop.
+
+These automata are minimal as built: from each state the greatest
+accepted word of every length is a prefix of a different infinite word
+(see build_shift_dfa), so no two states accept the same language.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NumerationError
 from .realbase import RealBase, generating_word, quasi_greedy_of
@@ -25,7 +29,6 @@ class Dfa:
     initial: int
     transitions: dict  # (state, digit) -> state
     finals: frozenset
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.finals = frozenset(self.finals)
@@ -83,58 +86,7 @@ class Dfa:
             if q in order
         }
         finals = frozenset(order[q] for q in self.finals if q in order)
-        return Dfa(len(order), 0, trans, finals, dict(self.meta))
-
-    def minimized(self) -> "Dfa":
-        """Language-equivalent minimal DFA, keeping the partial-transition
-        convention (no explicit sink in the result)."""
-        alphabet = self.alphabet
-        sink = self.num_states
-        states = range(self.num_states + 1)
-
-        def target(q, c):
-            if q == sink:
-                return sink
-            return self.transitions.get((q, c), sink)
-
-        color = {q: (1 if q in self.finals else 0) for q in states}
-        while True:
-            sig = {
-                q: (color[q],) + tuple(color[target(q, c)] for c in alphabet)
-                for q in states
-            }
-            palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-            new_color = {q: palette[sig[q]] for q in states}
-            if len(set(new_color.values())) == len(set(color.values())):
-                color = new_color
-                break
-            color = new_color
-
-        classes = sorted(set(color.values()))
-        index = {c: i for i, c in enumerate(classes)}
-        init = index[color[self.initial]]
-        finals = frozenset(index[color[q]] for q in self.finals)
-        trans = {}
-        for (q, c), t in self.transitions.items():
-            trans[(index[color[q]], c)] = index[color[t]]
-        # drop classes whose language is empty (cannot reach a final class)
-        n = len(classes)
-        reach_final = set(finals)
-        changed = True
-        while changed:
-            changed = False
-            for (q, _), t in trans.items():
-                if t in reach_final and q not in reach_final:
-                    reach_final.add(q)
-                    changed = True
-        if init not in reach_final:
-            return Dfa(1, 0, {}, frozenset(), dict(self.meta))
-        trans = {
-            (q, c): t
-            for (q, c), t in trans.items()
-            if q in reach_final and t in reach_final
-        }
-        return Dfa(n, init, trans, finals, dict(self.meta)).canonical()
+        return Dfa(len(order), 0, trans, finals)
 
     # -- serialization -----------------------------------------------------------
 
@@ -183,13 +135,28 @@ class Dfa:
 
 
 def build_shift_dfa(base: RealBase, variant: str) -> Dfa:
-    """Automaton accepting the factors of the base's shift.
+    """Minimal automaton accepting the factors of the base's shift.
 
     canonical: the classical construction over the quasi-greedy expansion
     of 1.  noncanonical: for a simple Parry base, the same automaton with
-    one extra state; otherwise the shifts coincide and the canonical
-    automaton is returned with meta["coincides_with_canonical"] set.
-    All states are final, so the language is factorial.
+    one extra state; otherwise the shifts coincide and so do the
+    automata.  All states are final, so the language is factorial.
+
+    Minimality.  Write d* = u v v v ... for the quasi-greedy word in
+    canonical form (v primitive, u as short as possible, m = |u|,
+    n = |v|); spine state i < m + n is reached by d*_1..d*_i.
+    (1) The shifts s^i(d*), i < m + n, are pairwise distinct: if
+    s^i(d*) = s^j(d*) with i < j, then the tail of d* from index i is
+    purely periodic, so it equals its own far tails and has period n;
+    that forces i >= m (u is shortest) and j - i >= n (v is primitive),
+    so j >= m + n.
+    (2) From spine state i the greatest accepted word of each length k
+    is the first k letters of s^i(d*): every state is final and has an
+    edge, and the greatest edge out of a spine state is its spine digit.
+    (3) The extra state accepts exactly 0*, and no spine state does,
+    because a quasi-greedy word never ends in zeros.  Every state is
+    reachable and accepts the empty word, so by (1)-(3) no two states
+    are equivalent and none is dead: the automaton is minimal.
     """
     word = generating_word(base, variant)
     dstar = quasi_greedy_of(word)  # the identity on a quasi-greedy word
@@ -202,18 +169,14 @@ def build_shift_dfa(base: RealBase, variant: str) -> Dfa:
         trans[(i, digits[i])] = upper
         for c in range(digits[i]):
             trans[(i, c)] = 0
-    meta = {}
-    if variant == "noncanonical":
-        if word.zero_tail:
-            t = word.support
-            q = 0
-            for c in t[:-1]:
-                q = trans[(q, c)]
-            if (q, t[-1]) in trans:
-                raise NumerationError("construction clash; expansion is not greedy")
-            trans[(q, t[-1])] = size
-            trans[(size, 0)] = size
-            size += 1
-        else:
-            meta["coincides_with_canonical"] = True
-    return Dfa(size, 0, trans, frozenset(range(size)), meta)
+    if variant == "noncanonical" and word.zero_tail:
+        t = word.support
+        q = 0
+        for c in t[:-1]:
+            q = trans[(q, c)]
+        if (q, t[-1]) in trans:
+            raise NumerationError("construction clash; expansion is not greedy")
+        trans[(q, t[-1])] = size
+        trans[(size, 0)] = size
+        size += 1
+    return Dfa(size, 0, trans, frozenset(range(size)))

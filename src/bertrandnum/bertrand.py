@@ -24,7 +24,6 @@ from .realbase import (
     base_from_expansion,
     expansion_polynomial,
     generating_word,
-    simple_expansion_polynomial,
 )
 from .words import EPWord, epword, quasi_to_greedy
 
@@ -34,14 +33,9 @@ def build_bertrand(base: RealBase, variant: str) -> NumSys:
 
     variant "canonical" seeds the recurrence with the quasi-greedy
     expansion of 1, "noncanonical" with the greedy expansion.  When the
-    greedy expansion is infinite the two coincide; the returned system
-    then carries ``note`` saying so.
+    greedy expansion is infinite the two coincide.
     """
-    word = generating_word(base, variant)
-    s = NumSys.from_word(word)
-    if variant == "noncanonical" and not word.zero_tail:
-        s.note = "coincides with the canonical system (expansion of 1 is infinite)"
-    return s
+    return NumSys.from_word(generating_word(base, variant))
 
 
 def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
@@ -57,15 +51,14 @@ def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
     _check_variant(variant)
     if not isinstance(word, EPWord):
         word = epword(tuple(word), (0,))
+    p = expansion_polynomial(word)
     if variant == "canonical":
-        if word.zero_tail:
-            return simple_expansion_polynomial(word.support)
-        return expansion_polynomial(word)
+        return pl.exact_div(p, (-1, 1)) if word.zero_tail else p
     if not word.zero_tail:
         raise NumerationError(
             "noncanonical recurrences require a finite expansion of 1"
         )
-    return expansion_polynomial(word)
+    return p
 
 
 # -- classification ------------------------------------------------------------

@@ -81,6 +81,12 @@ def cmd_beta_of(args) -> int:
     return 0
 
 
+def _coincides(base, variant) -> bool:
+    """The non-canonical system and shift of a base are the canonical ones
+    exactly when its expansion of 1 is infinite."""
+    return variant == "noncanonical" and not base.require_parry().zero_tail
+
+
 def cmd_build(args) -> int:
     base = parse_base(args.beta)
     s = bertrand.build_bertrand(base, args.variant)
@@ -90,8 +96,11 @@ def cmd_build(args) -> int:
             json.dump(s.to_json(), fh)
             fh.write("\n")
     print(" ".join(str(v) for v in values))
-    if s.note:
-        print(f"note: {s.note}", file=sys.stderr)
+    if _coincides(base, args.variant):
+        print(
+            "note: coincides with the canonical system (expansion of 1 is infinite)",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -189,8 +198,6 @@ def cmd_charpoly(args) -> int:
 def cmd_automaton(args) -> int:
     base = parse_base(args.beta)
     dfa = automata.build_shift_dfa(base, args.variant)
-    if args.minimize:
-        dfa = dfa.minimized()
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dfa.to_dot())
@@ -199,7 +206,7 @@ def cmd_automaton(args) -> int:
     else:
         edges = sorted((q, c, t) for (q, c), t in dfa.transitions.items())
         edge_text = ", ".join(f"{q}-{c}->{t}" for q, c, t in edges)
-        note = " (coincides with canonical)" if dfa.meta.get("coincides_with_canonical") else ""
+        note = " (coincides with canonical)" if _coincides(base, args.variant) else ""
         print(f"{dfa.num_states} states, all final; edges: {edge_text}{note}")
     return 0
 
@@ -335,7 +342,11 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("automaton", help="automaton of the factor language")
     p.add_argument("--beta", required=True)
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--minimize", action="store_true")
+    p.add_argument(
+        "--minimize",
+        action="store_true",
+        help="accepted for compatibility; the automaton is already minimal",
+    )
     p.add_argument("--dot", metavar="PATH")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_automaton)

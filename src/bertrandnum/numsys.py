@@ -94,7 +94,6 @@ class NumSys:
         else:
             raise NumerationError(f"unknown generator {generator!r}")
         self._lexmax: dict[int, tuple] = {}
-        self.note: str | None = None
         for i in range(1, len(self._u)):
             self._check_materialized(i)
 
@@ -261,10 +260,11 @@ class NumSys:
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
-        top = self.alphabet_max
-        # a system whose values break anywhere up to max_len + 1 is
+        # a system whose values break anywhere up to max_len + 1 (up to
+        # _ALPHABET_PROBE, where an undeclared alphabet is inferred) is
         # rejected, whatever length its first violation has
-        self.u(max_len + 1)
+        declared = self._declared_alphabet_max is not None
+        self.u(max_len + 1 if declared else max(max_len + 1, _ALPHABET_PROBE))
         _, fails_at = self.scan_generating_word(max_len + 1)
         if fails_at is None:
             return BertrandReport(max_len, max_len, None)
@@ -273,8 +273,8 @@ class NumSys:
         w, kind = min(
             (w, kind)
             for w, kind in (
-                (least_word_above(n, top, lambda j: m[:j]), "prolongability"),
-                (least_word_above(m, top, lambda j: n if j == k else m[:j]), "prefix-closure"),
+                (least_word_above(n, lambda j: m[:j]), "prolongability"),
+                (least_word_above(m, lambda j: n if j == k else m[:j]), "prefix-closure"),
             )
             if w is not None
         )

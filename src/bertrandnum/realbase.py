@@ -36,7 +36,6 @@ from .words import (
     format_epword,
     is_parry_valid,
     parse_epword,
-    suffixes_at_most,
 )
 
 DEFAULT_DEPTH = 64
@@ -342,10 +341,9 @@ def base_from_expansion(d: EPWord) -> RealBase:
         raise NumerationError("10^w corresponds to the degenerate base 1")
     if not is_parry_valid(d, strict=True):
         raise NumerationError(f"{d} is not a valid greedy expansion of 1")
+    p = expansion_polynomial(d)
     if d.zero_tail:
-        p = simple_expansion_polynomial(d.support)
-    else:
-        p = expansion_polynomial(d)
+        p = pl.exact_div(p, (-1, 1))
     if pl.degree(p) == 1:
         return RealBase.rational(Fraction(-p[0], p[1]))
     # isolate the unique root > 1: the polynomial is negative at 1 and
@@ -361,7 +359,8 @@ def base_from_expansion(d: EPWord) -> RealBase:
 
 
 def expansion_polynomial(d: EPWord) -> pl.IntPoly:
-    """The recurrence polynomial attached to the decomposition of d."""
+    """The recurrence polynomial attached to the decomposition of d; for a
+    finite word t1..tn it is (X - 1)(X^n - sum t_j X^{n-j})."""
     m, n = len(d.pre), len(d.per)
     digits = d.pre + d.per
     coeffs = [0] * (m + n + 1)
@@ -372,34 +371,6 @@ def expansion_polynomial(d: EPWord) -> pl.IntPoly:
     for j in range(1, m + 1):
         coeffs[m - j] += digits[j - 1]
     return pl.poly(coeffs)
-
-
-def simple_expansion_polynomial(support) -> pl.IntPoly:
-    """X^n - sum t_j X^{n-j} for a finite expansion of 1 with digits t."""
-    t = tuple(support)
-    n = len(t)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for j in range(1, n + 1):
-        coeffs[n - j] -= t[j - 1]
-    return pl.poly(coeffs)
-
-
-def shift_member(base: RealBase, w: DigitWord, variant: str) -> bool:
-    """Membership of a finite word in the factor language of the base's shift.
-
-    variant "canonical" checks against prefixes of the quasi-greedy
-    expansion of 1; "noncanonical" against the greedy expansion.  A word
-    is a factor exactly when each of its suffixes is lexicographically at
-    most the same-length prefix of the reference word.
-    """
-    _check_variant(variant)
-    w = tuple(w)
-    cls = base.parry_class(max(len(w), 1))
-    ref = cls.quasi_greedy if variant == "canonical" else cls.word
-    if cls.resolved:
-        ref = ref.prefix(len(w))
-    return suffixes_at_most(w, lambda i: ref[:i])
 
 
 def _check_variant(variant: str):

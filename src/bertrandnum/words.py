@@ -205,12 +205,13 @@ def _completable(prefix: DigitWord, length: int, greatest) -> bool:
     return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
 
 
-def least_word_above(v: DigitWord, top: int, greatest) -> DigitWord | None:
-    """The least word of length |v| over 0..top that is above v and whose
-    every suffix s has s <= greatest(|s|); None when there is none.
+def least_word_above(v: DigitWord, greatest) -> DigitWord | None:
+    """The least word of length |v| that is above v and whose every
+    suffix s has s <= greatest(|s|); None when there is none.
 
     The answer keeps the longest completable prefix of v it can, raises
-    the next letter as little as possible and pads with zeros.
+    the next letter as little as possible (at most greatest(|v| - p)[0]
+    at position p, the one-letter suffix's bound) and pads with zeros.
     """
     v = tuple(v)
     n = len(v)
@@ -218,7 +219,7 @@ def least_word_above(v: DigitWord, top: int, greatest) -> DigitWord | None:
     while p < n and _completable(v[: p + 1], n, greatest):
         p += 1
     for p in range(min(p, n - 1), -1, -1):
-        for d in range(v[p] + 1, top + 1):
+        for d in range(v[p] + 1, greatest(n - p)[0] + 1):
             if _completable(v[:p] + (d,), n, greatest):
                 return v[:p] + (d,) + (0,) * (n - p - 1)
     return None

@@ -253,6 +253,75 @@ def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
     return EquivReport(max_len, None)
 
 
+def minimized(dfa: Dfa) -> Dfa:
+    """Language-equivalent minimal DFA by Moore's partition refinement,
+    keeping the partial-transition convention (no explicit sink in the
+    result), in canonical form."""
+    alphabet = dfa.alphabet
+    sink = dfa.num_states
+    states = range(dfa.num_states + 1)
+
+    def target(q, c):
+        if q == sink:
+            return sink
+        return dfa.transitions.get((q, c), sink)
+
+    color = {q: (1 if q in dfa.finals else 0) for q in states}
+    while True:
+        sig = {
+            q: (color[q],) + tuple(color[target(q, c)] for c in alphabet)
+            for q in states
+        }
+        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new_color = {q: palette[sig[q]] for q in states}
+        done = len(set(new_color.values())) == len(set(color.values()))
+        color = new_color
+        if done:
+            break
+
+    classes = sorted(set(color.values()))
+    index = {c: i for i, c in enumerate(classes)}
+    init = index[color[dfa.initial]]
+    finals = frozenset(index[color[q]] for q in dfa.finals)
+    trans = {}
+    for (q, c), t in dfa.transitions.items():
+        trans[(index[color[q]], c)] = index[color[t]]
+    # drop classes whose language is empty (cannot reach a final class)
+    reach_final = set(finals)
+    changed = True
+    while changed:
+        changed = False
+        for (q, _), t in trans.items():
+            if t in reach_final and q not in reach_final:
+                reach_final.add(q)
+                changed = True
+    if init not in reach_final:
+        return Dfa(1, 0, {}, frozenset())
+    trans = {
+        (q, c): t
+        for (q, c), t in trans.items()
+        if q in reach_final and t in reach_final
+    }
+    return Dfa(len(classes), init, trans, finals).canonical()
+
+
+def shift_member(base: RealBase, w: DigitWord, variant: str) -> bool:
+    """Membership of a finite word in the factor language of the base's
+    shift, straight from the suffix criterion: each suffix of w is at
+    most the same-length prefix of the quasi-greedy expansion of 1
+    ("canonical") or of the greedy one ("noncanonical")."""
+    cls = base.parry_class(max(len(w), 1))
+    if variant == "canonical":
+        ref = cls.quasi_greedy
+    elif variant == "noncanonical":
+        ref = cls.word
+    else:
+        raise NumerationError(f"unknown variant {variant!r}")
+    w = tuple(w)
+    ref = ref.prefix(len(w)) if cls.resolved else ref
+    return all(w[i:] <= ref[: len(w) - i] for i in range(len(w)))
+
+
 def isomorphic_to(a: Dfa, b: Dfa) -> bool:
     """Equal canonical forms: the same automaton up to state names."""
     a, b = a.canonical(), b.canonical()

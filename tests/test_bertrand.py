@@ -14,10 +14,10 @@ from bertrandnum import (
     generating_word,
     parse_base,
     renewal_target,
-    shift_member,
     verify_counting_identity,
 )
 from bertrandnum import polynomials as pl
+from bertrandnum.cli import main
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, system_jsons, tribonacci
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
     certify_generating_word,
     floor_of,
     recurrence_from_char_poly,
+    shift_member,
 )
 
 PARRY_BASES = {
@@ -61,11 +62,12 @@ def test_build_integer_canonical_is_powers():
     assert s.values(5) == [1, 3, 9, 27, 81]
 
 
-def test_build_nonsimple_variants_coincide(phi2):
+def test_build_nonsimple_variants_coincide(phi2, capsys):
     u = build_bertrand(phi2, "canonical")
     v = build_bertrand(phi2, "noncanonical")
     assert u.values(20) == v.values(20)
-    assert v.note is not None
+    assert main(["build", "--beta", phi2.source, "--variant", "noncanonical"]) == 0
+    assert "note: coincides with the canonical system" in capsys.readouterr().err
     # the variants coincide exactly when the expansion of 1 is infinite
     assert not phi2.require_parry().zero_tail
     assert golden_ratio().require_parry().zero_tail

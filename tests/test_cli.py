@@ -203,6 +203,28 @@ def test_automaton_with_dot(capsys, tmp_path):
     assert data == {"initial": 0, "finals": [0], "edges": [[0, 0, 0], [0, 1, 0], [0, 2, 0]]}
 
 
+@pytest.mark.parametrize(
+    "beta,variant",
+    [
+        ("int:3", "canonical"),
+        ("int:3", "noncanonical"),
+        ("poly:1,-1,-1@(1,2)", "canonical"),
+        ("poly:1,-1,-1@(1,2)", "noncanonical"),
+        ("poly:1,-3,1@(2,3)", "noncanonical"),
+    ],
+)
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_automaton_minimize_changes_nothing(capsys, beta, variant, fmt):
+    # the shift automata are minimal as built; --minimize is kept as a no-op
+    argv = ["automaton", "--beta", beta, "--variant", variant] + fmt
+    code, built, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--minimize") == (0, built, "")
+    if beta == "poly:1,-3,1@(2,3)" and not fmt:
+        # phi^2 has an infinite expansion of 1, so the variants coincide
+        assert built.endswith("(coincides with canonical)")
+
+
 def test_counting_identity(capsys):
     code, out, _ = run(capsys, "counting-identity", "--beta", "poly:1,-1,-1@(1,2)", "--range", "10")
     assert code == 0

@@ -1,10 +1,11 @@
 """Cross-validation sweep over every small valid expansion of 1.
 
 For each base recovered from a short strictly shift-dominated word, the
-two generated systems, their automata, direct shift-factor membership
-and the classifier must all tell the same story.  A wider version of
-this sweep (supports up to length 5, digits up to 4, 746 bases) is run
-before releases; this trimmed one guards the same invariants.
+two generated systems, their automata (minimal as built), direct
+shift-factor membership and the classifier must all tell the same
+story.  A wider version of this sweep (supports up to length 5, digits
+up to 4, 746 bases) is run before releases; this trimmed one guards the
+same invariants.
 """
 
 import itertools
@@ -18,10 +19,9 @@ from bertrandnum import (
     classify_bertrand,
     epword,
     is_parry_valid,
-    shift_member,
 )
 
-from oracles import certify_generating_word, dfa_equiv_language
+from oracles import certify_generating_word, dfa_equiv_language, minimized, shift_member
 
 
 def small_bases():
@@ -55,6 +55,7 @@ def test_system_automaton_membership_classifier_agree(word, variant):
     base = base_from_expansion(word)
     s = build_bertrand(base, variant)
     dfa = build_shift_dfa(base, variant)
+    assert minimized(dfa) == dfa.canonical()
     report = dfa_equiv_language(dfa, s, 5)
     assert report.agree, report.first_disagreement
     for i in range(13):

@@ -13,13 +13,11 @@ from bertrandnum import (
     is_parry_valid,
     parse_base,
     quasi_greedy_of,
-    shift_member,
-    simple_expansion_polynomial,
 )
 from bertrandnum import polynomials as pl
 
 from conftest import golden_ratio, golden_ratio_squared, tribonacci
-from oracles import ceil_minus_one, floor_of, rational_digits
+from oracles import ceil_minus_one, floor_of, rational_digits, shift_member
 
 
 def value_identity_holds(word, base) -> bool:
@@ -30,7 +28,9 @@ def value_identity_holds(word, base) -> bool:
     that polynomial and the base's defining polynomial in the isolating
     interval.
     """
-    p = expansion_polynomial(word) if not word.zero_tail else simple_expansion_polynomial(word.support)
+    p = expansion_polynomial(word)
+    if word.zero_tail:
+        p = pl.exact_div(p, (-1, 1))
     enc = base.enclosure()
     if enc.lo == enc.hi:
         # beta is exactly the rational enc.lo; no sign changes inside [q, q]

@@ -214,29 +214,31 @@ def test_quasi_to_greedy_outputs_strictly_dominated():
 
 @st.composite
 def suffix_bounds(draw):
-    """A length, a top letter and one arbitrary bound word per length."""
+    """A length and one arbitrary bound word per length."""
     length = draw(st.integers(0, 5))
-    top = draw(st.integers(0, 3))
     bounds = [()] + [
         tuple(draw(st.lists(st.integers(0, 3), min_size=i, max_size=i)))
         for i in range(1, length + 1)
     ]
-    return length, top, bounds
+    return length, bounds
 
 
 @given(suffix_bounds(), st.data())
 def test_extremal_words_match_brute_force(case, data):
-    length, top, bounds = case
+    length, bounds = case
+    # a letter above every bound's first letter fails as a one-letter
+    # suffix, so words over 0..top are all the words there are
+    top = max((b[0] for b in bounds[1:]), default=0)
     words = sorted(
         w
         for w in itertools.product(range(top + 1), repeat=length)
         if suffixes_at_most(w, bounds.__getitem__)
     )
     assert greatest_word(length, top, bounds.__getitem__) == words[-1]
-    v = tuple(data.draw(st.lists(st.integers(0, top), min_size=length, max_size=length)))
+    v = tuple(data.draw(st.lists(st.integers(0, top + 1), min_size=length, max_size=length)))
     above = [w for w in words if w > v]
     expected = above[0] if above else None
-    assert least_word_above(v, top, bounds.__getitem__) == expected
+    assert least_word_above(v, bounds.__getitem__) == expected
 
 
 # ---------------------------------------------------------------------------
