@@ -1,14 +1,27 @@
 """Exactly represented real bases beta > 1 and the greedy expansion of 1.
 
-A base is the unique root > 1 of a primitive integer polynomial inside
-an isolating interval; an integer or rational base b/c is the linear
-polynomial cX - b with the degenerate interval [b/c, b/c].  Digits of the
-expansion of 1 come from one exact engine for every base: the remainders
-are elements of Q(beta), coefficient vectors reduced modulo the defining
-polynomial, and each floor is certified by sign evaluations over a
-shrinking isolating interval (the remainders of an integer or rational
-base are rationals and need none).  No floating point ever enters the
-digit path.
+A base is the unique root > 1 of a primitive integer polynomial p of
+degree n inside an isolating interval; an integer or rational base b/c is
+the linear polynomial cX - b with the degenerate interval [b/c, b/c].
+Digits of the expansion of 1 come from one exact engine for every base.
+
+- **Remainders.**  The remainder r_k = beta r_{k-1} - d_k is an element of
+  Q(beta), stored as one integer tuple (c_0, ..., c_{n-1}, D) that stands
+  for (c_0 + c_1 beta + ... + c_{n-1} beta^{n-1}) / D, with D > 0 and
+  gcd(c_0, ..., c_{n-1}, D) = 1.  D divides a power of the leading
+  coefficient of p, so it is 1 for every monic p.  This form is
+  canonical, so tuple equality is equality in Q(beta).
+- **Floors.**  Each floor is certified by a Horner evaluation over the
+  isolating interval, which is bisected until both ends of the enclosure
+  share their integer part, or until the upper one is exactly the value (a
+  gcd with p locates the common root).  A remainder with no beta terms is
+  the rational c_0 / D and needs no interval.  No floating point ever
+  enters the digit path.
+- **Repeats.**  An index maps the fingerprint (hash) of each remainder to
+  the indices k that have it.  A hit is only a hint: it is confirmed by
+  recomputing those r_j from r_0 and the digits, so a collision never
+  resolves a base and never hides a later repeat.  The index costs a key
+  and an index per digit, not a remainder.
 
 The base owns its expansion of 1 and keeps whatever it has resolved.
 `RealBase.parry_class(depth)` is the one reader: its `word` is the greedy
@@ -17,6 +30,8 @@ prefix while unresolved); `digits_prefix` and `require_parry` read
 through it.  Everything built from a base (its systems, automata and
 enclosures) asks for the expansion at the default depth, so resolving a
 base deeper once with `require_parry(depth)` serves every later builder.
+A non-integer rational base is decided "not Parry" at any depth: a Parry
+number is an algebraic integer (Parry 1960).
 """
 
 from __future__ import annotations
@@ -42,6 +57,10 @@ DEFAULT_DEPTH = 64
 VARIANTS = ("canonical", "noncanonical")
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
 
+# The key of a remainder in the repeat index.  Only a hint: equal keys are
+# confirmed exactly, so any function of the remainder would be correct.
+_fingerprint = hash
+
 
 @dataclass(frozen=True)
 class ParryClass:
@@ -49,7 +68,9 @@ class ParryClass:
 
     kind is "simple" (finite expansion t1..tn, witness holds the full
     word, n = len of support), "nonsimple" (infinite ultimately periodic,
-    m/n are the canonical preperiod/period lengths) or "unresolved"
+    m/n are the canonical preperiod/period lengths), "not_parry" (a
+    non-integer rational base, whose expansion is never ultimately
+    periodic; witness is the prefix of `depth` digits) or "unresolved"
     (no repetition seen within `depth` digits; witness is the prefix).
     """
 
@@ -61,7 +82,8 @@ class ParryClass:
 
     @property
     def resolved(self) -> bool:
-        return self.kind != "unresolved"
+        """True when the word is the whole expansion, an EPWord."""
+        return self.kind in ("simple", "nonsimple")
 
     @property
     def quasi_greedy(self):
@@ -71,7 +93,8 @@ class ParryClass:
         t1..tn followed by zeros, in which case it is the purely periodic
         word (t1..t_{n-1}(t_n - 1))^w.  For an unresolved base it is the
         digit prefix, a correct prefix of the quasi-greedy word in either
-        outcome.
+        outcome; a base that is not Parry has no finite expansion, so its
+        greedy and quasi-greedy words coincide.
         """
         return quasi_greedy_of(self.word) if self.resolved else self.word
 
@@ -80,6 +103,8 @@ class ParryClass:
             return f"simple Parry, n={self.n}"
         if self.kind == "nonsimple":
             return f"non-simple Parry, m={self.m}, n={self.n}"
+        if self.kind == "not_parry":
+            return "not Parry (non-integer rational base)"
         return f"unresolved at depth {self.depth}"
 
 
@@ -92,7 +117,7 @@ class RealBase:
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
-        self._seen: dict = {}
+        self._seen: dict = {}  # fingerprint -> index k, or a list of them
         self._resolved: EPWord | None = None
 
     @property
@@ -202,34 +227,47 @@ class RealBase:
 
     # -- the greedy expansion of 1 ---------------------------------------------
 
-    def _mul_beta(self, vec):
-        # multiply an element of Q(beta), given as a coefficient vector of
-        # degree < n, by beta and reduce via beta^n = -(p_0 + ... )/p_n
-        p = self.poly
-        n = pl.degree(p)
-        lead = p[n]
-        top = vec[n - 1]
-        out = []
-        for j in range(n):
-            c = vec[j - 1] if j >= 1 else Fraction(0)
-            if top:
-                c = c - top * Fraction(p[j], lead)
-            out.append(c)
-        return tuple(out)
+    def _start(self) -> tuple:
+        """The first remainder, 1."""
+        return (1,) + (0,) * (pl.degree(self.poly) - 1) + (1,)
 
-    def _eval_interval(self, vec) -> Interval:
+    def _mul_beta(self, rem) -> tuple:
+        """beta * rem, reduced via lead * beta^n = -(p_0 + ... + p_{n-1} beta^{n-1})
+        and brought back to lowest terms."""
+        p = self.poly
+        n = len(p) - 1
+        den = rem[n]
+        top = rem[n - 1]
+        if not top:
+            return (0,) + rem[: n - 1] + (den,)
+        lead = p[n]
+        if lead == 1:
+            return (-top * p[0],) + tuple(rem[j - 1] - top * p[j] for j in range(1, n)) + (den,)
+        out = [-top * p[0]] + [lead * rem[j - 1] - top * p[j] for j in range(1, n)]
+        den *= lead
+        g = math.gcd(den, *out)
+        if g > 1:
+            out = [c // g for c in out]
+            den //= g
+        return tuple(out) + (den,)
+
+    @staticmethod
+    def _minus(s, d: int) -> tuple:
+        """s - d for an integer d; s stays in lowest terms."""
+        return (s[0] - d * s[-1],) + s[1:]
+
+    def _eval_interval(self, s) -> Interval:
+        # an enclosure of the numerator of s at beta, by Horner's rule
         acc = Interval.point(0)
         beta = Interval(self._ival[0], self._ival[1])
-        for c in reversed(vec):
+        for c in reversed(s[:-1]):
             acc = acc * beta + c
         return acc
 
-    def _is_exactly(self, vec, m: int) -> bool:
-        # decide vec(beta) == m by locating a common root of the defining
-        # polynomial and vec - m inside the isolating interval
-        diff = list(vec)
-        diff[0] -= m
-        c = pl.primitive(diff)
+    def _is_exactly(self, s, m: int) -> bool:
+        # decide s(beta) == m by locating a common root of the defining
+        # polynomial and the numerator of s - m inside the isolating interval
+        c = pl.primitive(self._minus(s, m)[:-1])
         if not c:
             return True
         g = pl.gcd(self.poly, c)
@@ -238,28 +276,43 @@ class RealBase:
         lo, hi = self._ival
         return pl.sign_at(g, lo) * pl.sign_at(g, hi) < 0
 
-    def _floor_vec(self, vec) -> tuple[int, bool]:
+    def _floor_vec(self, s) -> tuple[int, bool]:
         """Floor of an element of Q(beta); returns (floor, is_exact_integer)."""
-        if all(c == 0 for c in vec[1:]):
-            v = vec[0]
-            return math.floor(v), v.denominator == 1
+        den = s[-1]
+        if not any(s[1:-1]):
+            q, r = divmod(s[0], den)
+            return q, r == 0
         for _ in range(REFINEMENT_BUDGET):
-            enc = self._eval_interval(vec)
-            flo, fhi = math.floor(enc.lo), math.floor(enc.hi)
+            enc = self._eval_interval(s)
+            flo, fhi = enc.lo // den, enc.hi // den
             if flo == fhi:
                 return flo, False
-            if fhi == flo + 1 and self._is_exactly(vec, fhi):
+            if fhi == flo + 1 and self._is_exactly(s, fhi):
                 return fhi, True
             self._bisect()
         raise RefinementBudgetError(
             "interval refinement did not separate a floor boundary"
         )
 
+    def _first_equal(self, rem, indices) -> int | None:
+        """The first of the ascending `indices` j with r_j == rem, or None.
+
+        The remainders are recomputed from r_0 and the digits, so a
+        fingerprint match is only ever taken as a hint."""
+        r, i = self._start(), 0
+        for j in indices:
+            while i < j:
+                r = self._minus(self._mul_beta(r), self._digits[i])
+                i += 1
+            if r == rem:
+                return j
+        return None
+
     def _step(self):
         """Compute one more digit of the expansion of 1."""
         if self._rem is None:
-            self._rem = (Fraction(1),) + (Fraction(0),) * (pl.degree(self.poly) - 1)
-            self._seen[self._rem] = 0
+            self._rem = self._start()
+            self._seen[_fingerprint(self._rem)] = 0
         s = self._mul_beta(self._rem)
         e, exact = self._floor_vec(s)
         if e < 0:
@@ -268,21 +321,32 @@ class RealBase:
         if exact:  # the remainder is exactly zero
             self._resolved = epword(tuple(self._digits), (0,))
             return
-        rem = (s[0] - e,) + s[1:]
-        j = self._seen.get(rem)
-        if j is not None:
-            self._resolved = epword(tuple(self._digits[:j]), tuple(self._digits[j:]))
-            return
-        self._seen[rem] = len(self._digits)
+        rem = self._minus(s, e)
+        k = len(self._digits)
+        key = _fingerprint(rem)
+        hits = self._seen.get(key)
+        if hits is None:
+            self._seen[key] = k
+        else:
+            if isinstance(hits, int):
+                hits = [hits]
+            j = self._first_equal(rem, hits)
+            if j is not None:
+                self._resolved = epword(tuple(self._digits[:j]), tuple(self._digits[j:]))
+                return
+            self._seen[key] = hits + [k]
         self._rem = rem
 
     def parry_class(self, depth: int = DEFAULT_DEPTH) -> ParryClass:
         """Resolve the expansion of 1 within `depth` digits, if possible.
 
         A repeated exact remainder proves ultimate periodicity; a zero
-        remainder proves finiteness.  Absence of both within `depth` only
-        yields "unresolved" (never a claim that beta is not Parry).  A base
-        resolved once stays resolved at every depth.
+        remainder proves finiteness.  A non-integer rational base is never
+        Parry, because a Parry number is an algebraic integer (Parry 1960):
+        it gets "not_parry" with its digit prefix.  Otherwise absence of
+        both within `depth` only yields "unresolved" (never a claim that
+        beta is not Parry).  A base resolved once stays resolved at every
+        depth.
         """
         if depth < 1:
             raise NumerationError("depth must be >= 1")
@@ -290,7 +354,8 @@ class RealBase:
             self._step()
         w = self._resolved
         if w is None:
-            return ParryClass("unresolved", tuple(self._digits[:depth]), depth=depth)
+            kind = "not_parry" if self.kind == "rational" else "unresolved"
+            return ParryClass(kind, tuple(self._digits[:depth]), depth=depth)
         if w.zero_tail:
             return ParryClass("simple", w, n=len(w.support))
         return ParryClass("nonsimple", w, m=len(w.pre), n=len(w.per))
@@ -303,6 +368,12 @@ class RealBase:
     def require_parry(self, depth: int = DEFAULT_DEPTH) -> EPWord:
         """The greedy expansion of 1, resolved within `depth` digits."""
         cls = self.parry_class(depth)
+        if cls.kind == "not_parry":
+            raise NumerationError(
+                f"{self} is not a Parry number: a non-integer rational base "
+                "is not an algebraic integer, so its expansion of 1 is not "
+                "eventually periodic"
+            )
         if not cls.resolved:
             raise UnresolvedBaseError(
                 f"expansion of 1 for {self} not resolved within depth {depth}"

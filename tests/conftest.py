@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from bertrandnum import NumSys, RealBase, epword, format_epword
+from bertrandnum import polynomials as pl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -109,3 +111,34 @@ def phi2():
 @pytest.fixture
 def trib():
     return tribonacci()
+
+
+# y + 1, y, y - 1 and the quadratics y^2 + y - 1, y^2 - y - 1, y^2 - 2,
+# y^2 - 3: the traces z + 1/z of the roots z of the cyclotomic polynomials
+# of degree 2 and 4 (those of degree 1 are excluded by the signs at +-2)
+_CYCLOTOMIC_TRACES = ((1, 1), (0, 1), (-1, 1), (-1, 1, 1), (-1, -1, 1), (-2, 0, 1), (-3, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def census_sextics() -> tuple:
+    """Base specs of Boyd's census of Salem sextics (1080 of them), in
+    order of (a, b, c).  P = x^6 + ax^5 + bx^4 + cx^3 + bx^2 + ax + 1 with
+    a in [-8, 0], b in [-8, 8], c in [-10, 10] is x^3 T(x + 1/x) for the
+    trace cubic T = y^3 + ay^2 + (b - 3)y + (c - 2a); P has a Salem root
+    when T has one root above 2 and two distinct roots in (-2, 2), and is
+    then irreducible unless T has the trace of a cyclotomic factor."""
+    out = []
+    for a in range(-8, 1):
+        for b in range(-8, 9):
+            for c in range(-10, 11):
+                t = (c - 2 * a, b - 3, a, 1)
+                if pl.eval_at(t, 2) >= 0 or pl.eval_at(t, -2) >= 0:
+                    continue
+                if any(pl.divides(q, t) for q in _CYCLOTOMIC_TRACES):
+                    continue
+                if pl.count_roots(t, -2, 2) != 2:
+                    continue
+                p = (1, a, b, c, b, a, 1)
+                bound = 1 + max(abs(x) for x in p)
+                out.append(f"poly:{','.join(map(str, p))}@(1,{bound})")
+    return tuple(out)

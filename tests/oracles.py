@@ -16,10 +16,12 @@ from bertrandnum import (
     NumSys,
     RealBase,
     Violation,
+    epword,
     expansion_polynomial,
     suffixes_at_most,
 )
 from bertrandnum import polynomials as pl
+from bertrandnum.intervals import Interval
 from bertrandnum.numsys import BertrandRule, Recurrence
 
 
@@ -373,3 +375,77 @@ def rational_digits(q, depth: int) -> tuple[DigitWord, str]:
                 kind = "nonsimple"
             seen.add(r)
     return tuple(digits), kind
+
+
+def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
+    """The greedy expansion of 1 of the root > 1 of `poly` in `interval`,
+    by the remainder loop over Q(beta) with `Fraction` coefficients.
+
+    Each remainder is a tuple of Fractions reduced modulo `poly`, a repeat
+    is found by keying every exact remainder in a dict, and each floor is
+    separated by Horner's rule over a bisected copy of the interval (a
+    rational root is its degenerate interval [q, q]).  Returns (word,
+    kind) in the shape of `ParryClass`: once a remainder vanishes or
+    repeats, the EPWord with "simple" when it ends in zeros and
+    "nonsimple" otherwise; else the first `depth` digits and
+    "unresolved".
+    """
+    n = pl.degree(poly)
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+
+    def bisect():
+        nonlocal lo, hi
+        mid = (lo + hi) / 2
+        s = pl.sign_at(poly, mid)
+        if s == 0:
+            lo = hi = mid
+        elif s == pl.sign_at(poly, lo):
+            lo = mid
+        else:
+            hi = mid
+
+    def times_beta(vec):
+        top = vec[n - 1]
+        shifted = (Fraction(0),) + vec[:-1]
+        return tuple(c - top * Fraction(poly[j], poly[n]) for j, c in enumerate(shifted))
+
+    def is_exactly(vec, m):
+        c = pl.primitive((vec[0] - m,) + vec[1:])
+        if not c:
+            return True
+        g = pl.gcd(poly, c)
+        return pl.degree(g) >= 1 and pl.sign_at(g, lo) * pl.sign_at(g, hi) < 0
+
+    def floor(vec):
+        if not any(vec[1:]):
+            return math.floor(vec[0]), vec[0].denominator == 1
+        for _ in range(256):
+            acc = Interval.point(0)
+            for c in reversed(vec):
+                acc = acc * Interval(lo, hi) + c
+            flo, fhi = math.floor(acc.lo), math.floor(acc.hi)
+            if flo == fhi:
+                return flo, False
+            if fhi == flo + 1 and is_exactly(vec, fhi):
+                return fhi, True
+            bisect()
+        raise NumerationError("256 bisections did not separate a floor boundary")
+
+    rem = (Fraction(1),) + (Fraction(0),) * (n - 1)
+    seen = {rem: 0}
+    digits = []
+    while len(digits) < depth:
+        s = times_beta(rem)
+        e, exact = floor(s)
+        digits.append(e)
+        if exact:
+            return epword(tuple(digits), (0,)), "simple"
+        rem = (s[0] - e,) + s[1:]
+        if rem in seen:
+            j = seen[rem]
+            word = epword(tuple(digits[:j]), tuple(digits[j:]))
+            # a zero value with a nonzero vector (a non-minimal polynomial)
+            # repeats with period 0: the expansion is finite
+            return word, "simple" if word.zero_tail else "nonsimple"
+        seen[rem] = len(digits)
+    return tuple(digits), "unresolved"

@@ -31,10 +31,23 @@ def test_dbeta_json(capsys):
     assert data["word"] == "3(0)" and data["resolved"] is True
 
 
-def test_dbeta_unresolved_rational(capsys):
+def test_dbeta_rational_not_parry(capsys):
+    # a non-integer rational base is certified not Parry; the prefix stays
     code, out, _ = run(capsys, "dbeta", "--base", "rat:5/2", "--depth", "8")
     assert code == 0
-    assert "unresolved at depth 8" in out
+    assert out == "21011100 [not Parry (non-integer rational base)]"
+    code, out, _ = run(capsys, "dbeta", "--base", "poly:2,-5@(1,3)", "--depth", "8", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "word": "21011100",
+        "resolved": False,
+        "class": "not Parry (non-integer rational base)",
+    }
+    code, out, _ = run(capsys, "dstar", "--base", "rat:5/2", "--depth", "8")
+    assert out == "21011100 [not Parry (non-integer rational base)]"
+    code, _, err = run(capsys, "build", "--beta", "rat:5/2", "--variant", "canonical")
+    assert code == 1
+    assert "is not a Parry number" in err
 
 
 def test_dstar(capsys):

@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bertrandnum import (
     NumerationError,
@@ -16,8 +18,14 @@ from bertrandnum import (
 )
 from bertrandnum import polynomials as pl
 
-from conftest import golden_ratio, golden_ratio_squared, tribonacci
-from oracles import ceil_minus_one, floor_of, rational_digits, shift_member
+from conftest import census_sextics, golden_ratio, golden_ratio_squared, tribonacci
+from oracles import (
+    ceil_minus_one,
+    floor_of,
+    fraction_expansion,
+    rational_digits,
+    shift_member,
+)
 
 
 def value_identity_holds(word, base) -> bool:
@@ -71,13 +79,19 @@ def test_tribonacci_expansion():
     assert b.parry_class(8).word == epword((1, 1, 1), (0,))
 
 
-def test_rational_base_unresolved():
-    b = RealBase.rational(Fraction(5, 2))
+@pytest.mark.parametrize("spec", ["rat:5/2", "poly:2,-5@(1,3)"])
+def test_rational_base_is_not_parry(spec):
+    # a Parry number is an algebraic integer, so a non-integer rational
+    # base is decided at once; the digit prefix is kept
+    b = parse_base(spec)
     cls = b.parry_class(40)
-    assert cls.kind == "unresolved"
+    assert cls.kind == "not_parry" and not cls.resolved
+    assert cls.describe() == "not Parry (non-integer rational base)"
+    assert cls.word == rational_digits(Fraction(5, 2), 40)[0]
     assert cls.word[:4] == (2, 1, 0, 1)
-    with pytest.raises(UnresolvedBaseError):
+    with pytest.raises(NumerationError, match="not a Parry number") as err:
         b.require_parry(40)
+    assert not isinstance(err.value, UnresolvedBaseError)
 
 
 def test_digits_prefix_extends_monotonically():
@@ -349,6 +363,10 @@ def test_exact_base_matches_fraction_loop(q):
     base = RealBase.rational(q)
     digits, kind = rational_digits(q, 40)
     assert base.digits_prefix(40) == digits
+    if base.kind == "rational":
+        # the loop never sees a repeat, and the base is certified not Parry
+        assert kind == "unresolved"
+        kind = "not_parry"
     assert base.parry_class(40).kind == kind
 
 
@@ -364,3 +382,125 @@ def test_refinement_budget_is_an_explicit_error(monkeypatch):
     assert RealBase.integer(3).digits_prefix(4) == (3, 0, 0, 0)
     assert RealBase.rational(Fraction(5, 2)).digits_prefix(1) == (2,)
     assert RealBase.rational(Fraction(5, 2)).digits_prefix(4) == (2, 1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the remainder engine against the Fraction loop, and its repeat index
+
+
+def oracle_class(base: RealBase, depth: int):
+    """(word, kind) of the Fraction loop, with the certificate a
+    non-integer rational base gets."""
+    enc = base.enclosure()
+    word, kind = fraction_expansion(base.poly, (enc.lo, enc.hi), depth)
+    if base.kind == "rational" and kind == "unresolved":
+        kind = "not_parry"
+    return word, kind
+
+
+@st.composite
+def isolated_roots(draw):
+    """A primitive quadratic or cubic, mostly non-monic, and an interval
+    isolating its greatest root, which exceeds 1; or a rational > 1."""
+    if draw(st.integers(0, 4)) == 0:
+        q = Fraction(draw(st.integers(2, 40)), draw(st.integers(1, 9)))
+        assume(q > 1)
+        return (-q.numerator, q.denominator), (q, q)
+    deg = draw(st.integers(2, 3))
+    low = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
+    p = pl.squarefree_part(tuple(low) + (draw(st.integers(1, 5)),))
+    assume(pl.degree(p) >= 1 and pl.sign_at(p, 1) != 0)
+    lo, hi = Fraction(1), Fraction(1 + sum(abs(c) for c in p))
+    assume(pl.count_roots(p, lo, hi) >= 1)
+    while pl.count_roots(p, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        while pl.sign_at(p, mid) == 0:
+            mid += (hi - mid) / 3
+        if pl.count_roots(p, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return p, (lo, hi)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(isolated_roots(), st.integers(1, 120))
+def test_engine_matches_fraction_loop(root, depth):
+    # a non-monic p gives remainders with a denominator > 1
+    p, (lo, hi) = root
+    base = RealBase.rational(lo) if lo == hi else RealBase.algebraic(p, (lo, hi))
+    cls = base.parry_class(depth)
+    assert (cls.word, cls.kind) == oracle_class(base, depth)
+
+
+def test_non_monic_example_matches_fraction_loop():
+    # 2X^2 - 5X + 1: beta = (5 + sqrt 17)/4 is not an algebraic integer
+    base = parse_base("poly:2,-5,1@(1,3)")
+    cls = base.parry_class(200)
+    assert cls.kind == "unresolved"
+    assert base._rem[-1] > 1  # the remainders carry a denominator
+    assert (cls.word, cls.kind) == oracle_class(base, 200)
+
+
+def test_census_matches_fraction_loop():
+    specs = census_sextics()[::27]
+    assert len(specs) == 40
+    for spec in specs:
+        cls = parse_base(spec).parry_class(2000)
+        assert (cls.word, cls.kind) == oracle_class(parse_base(spec), 2000), spec
+
+
+UNRESOLVED_SEXTIC = "poly:1,-3,-1,-7,-1,-3,1@(1,8)"
+
+
+def collision_cases():
+    yield "phi", golden_ratio, 64
+    yield "phi2", golden_ratio_squared, 64
+    yield "tribonacci", tribonacci, 64
+    yield "7/3", lambda: parse_base("rat:7/3"), 64
+    for w in small_valid_expansions(max_total=4):
+        yield str(w), lambda w=w: base_from_expansion(w), 64
+    for spec in (census_sextics()[0], "poly:1,-6,-2,7,-2,-6,1@(1,8)", UNRESOLVED_SEXTIC):
+        yield spec, lambda spec=spec: parse_base(spec), 300
+
+
+def test_constant_fingerprint_changes_no_answer(monkeypatch):
+    # every remainder then shares one key, so each step is confirmed
+    # against all earlier ones; a false match would resolve early, and a
+    # dropped index would hide a later repeat
+    import bertrandnum.realbase as rb
+
+    cases = list(collision_cases())
+    assert len(cases) > 40
+    expected = [make().parry_class(depth) for _, make, depth in cases]
+    assert {c.kind for c in expected} == {"simple", "nonsimple", "unresolved", "not_parry"}
+    monkeypatch.setattr(rb, "_fingerprint", lambda rem: 0)
+    for (name, make, depth), want in zip(cases, expected):
+        assert make().parry_class(depth) == want, name
+
+
+def test_true_fingerprint_collision_is_not_a_repeat():
+    # 2X^3 - 4X^2 + 1: after 12 and 13 digits the remainders are
+    # (-1 - 2 beta + 2 beta^2)/16 and (-1 - beta + 2 beta^2)/16, which
+    # differ by beta/16 and, as hash(-1) == hash(-2), share a fingerprint
+    base = parse_base("poly:2,-4,0,1@(1,8)")
+    r12, r13 = (-1, -2, 2, 16), (-1, -1, 2, 16)
+    assert hash(r12) == hash(r13) and r12 != r13
+    cls = base.parry_class(120)
+    assert base._seen[hash(r12)] == [12, 13]
+    assert cls.kind == "unresolved"
+    assert (cls.word, cls.kind) == oracle_class(base, 120)
+
+
+def test_expansion_memory_per_digit():
+    # the repeat index keeps a fingerprint and an index per digit, not the
+    # remainder itself (a dict of Fraction remainders took about 535 B)
+    base = parse_base(UNRESOLVED_SEXTIC)
+    tracemalloc.start()
+    try:
+        cls = base.parry_class(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.kind == "unresolved"
+    assert peak / 1000 < 300
