@@ -32,6 +32,7 @@ from .realbase import (
     ParryClass,
     RealBase,
     base_from_expansion,
+    char_poly,
     expansion_polynomial,
     generating_word,
     parse_base,
@@ -42,7 +43,6 @@ from .bertrand import (
     ClassifyResult,
     CountingIdentityReport,
     build_bertrand,
-    char_poly,
     classify_bertrand,
     verify_counting_identity,
 )

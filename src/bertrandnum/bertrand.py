@@ -15,17 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import polynomials as pl
+from . import realbase
 from .errors import NumerationError
 from .numsys import NumSys, Violation
-from .realbase import (
-    RealBase,
-    _check_variant,
-    base_from_expansion,
-    expansion_polynomial,
-    generating_word,
-)
+from .realbase import RealBase, base_from_expansion, generating_word
 from .words import EPWord, epword, quasi_to_greedy
+
+# the recurrence polynomial of a generating word lives next to
+# expansion_polynomial; it stays public here as bertrand.char_poly
+char_poly = realbase.char_poly
 
 
 def build_bertrand(base: RealBase, variant: str) -> NumSys:
@@ -36,29 +34,6 @@ def build_bertrand(base: RealBase, variant: str) -> NumSys:
     greedy expansion is infinite the two coincide.
     """
     return NumSys.from_word(generating_word(base, variant))
-
-
-def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
-    """Characteristic polynomial of the recurrence satisfied by the system.
-
-    canonical: for a finite expansion t1..tn the polynomial is
-    X^n - sum t_j X^{n-j}; for an ultimately periodic quasi-greedy word
-    with preperiod m and period n it is
-    (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
-    noncanonical: requires a finite expansion t1..tn and yields
-    (X^{n+1} - sum t_j X^{n+1-j}) - (X^n - sum t_j X^{n-j}).
-    """
-    _check_variant(variant)
-    if not isinstance(word, EPWord):
-        word = epword(tuple(word), (0,))
-    p = expansion_polynomial(word)
-    if variant == "canonical":
-        return pl.exact_div(p, (-1, 1)) if word.zero_tail else p
-    if not word.zero_tail:
-        raise NumerationError(
-            "noncanonical recurrences require a finite expansion of 1"
-        )
-    return p
 
 
 # -- classification ------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Positional numeration systems and their numeration languages.
 
-A system is a strictly increasing integer sequence U with U(0) = 1 and
-bounded consecutive quotients.  Values are materialized lazily from one
-of two generators: an explicit list of initial values plus an integer
-linear recurrence (with an optional constant addend), or the
-Bertrand-style rule U(i) = a1 U(i-1) + ... + ai U(0) + 1 driven by an
-eventually periodic word a.
+A system is a strictly increasing integer sequence U with U(0) = 1.
+Values are materialized lazily from one of two generators: an explicit
+list of initial values plus an integer linear recurrence (with an
+optional constant addend), or the Bertrand-style rule
+U(i) = a1 U(i-1) + ... + ai U(0) + 1 driven by any eventually periodic
+word a with a nonzero first letter.  U fixes the alphabet: the members
+of length at most n use the letters 0..d, where d is the greatest first
+letter of the greatest members of those lengths.  A recurrence may
+declare a bound on the letters (alphabet_max); each materialized
+quotient U(i)/U(i-1) is checked against it.
 
 The numeration language contains all greedy representations padded with
 leading zeros.  Membership is decided by the suffix criterion: a word
@@ -41,8 +45,6 @@ from .words import (
     suffixes_at_most,
 )
 
-_ALPHABET_PROBE = 32  # indices used when the alphabet bound must be inferred
-
 
 @dataclass(frozen=True)
 class Recurrence:
@@ -74,12 +76,16 @@ class BertrandReport:
 
 
 class NumSys:
-    """A positional numeration system with lazily materialized values."""
+    """A positional numeration system with lazily materialized values.
+
+    alphabet_max, when given, is a declared bound on the digits: every
+    materialized U(i) must satisfy ceil(U(i)/U(i-1)) - 1 <= alphabet_max,
+    or NumerationError is raised.  Nothing is inferred when it is absent.
+    """
 
     def __init__(self, generator, alphabet_max: int | None = None):
         self.generator = generator
-        self._declared_alphabet_max = alphabet_max
-        self._observed_alphabet_max = 0
+        self._alphabet_max = alphabet_max
         if isinstance(generator, Recurrence):
             init = [int(v) for v in generator.initial]
             if not init or init[0] != 1:
@@ -112,8 +118,7 @@ class NumSys:
             word = parse_epword(word)
         if word.digit(0) < 1:
             raise NumerationError("the generating word must start with a nonzero digit")
-        # for these systems the alphabet bound is the leading digit
-        return cls(BertrandRule(word), alphabet_max=word.digit(0))
+        return cls(BertrandRule(word))
 
     # -- values ---------------------------------------------------------------
 
@@ -150,31 +155,11 @@ class NumSys:
             raise NumerationError(
                 f"sequence is not strictly increasing at U({i}) = {cur}"
             )
-        q = -(-cur // prev) - 1  # ceil(cur/prev) - 1
-        if q > self._observed_alphabet_max:
-            self._observed_alphabet_max = q
-        if (
-            self._declared_alphabet_max is not None
-            and q > self._declared_alphabet_max
-        ):
+        bound = self._alphabet_max
+        if bound is not None and -(-cur // prev) - 1 > bound:  # ceil(cur/prev) - 1
             raise NumerationError(
-                f"declared alphabet bound {self._declared_alphabet_max} "
-                f"contradicted at U({i})/U({i - 1})"
+                f"declared alphabet bound {bound} contradicted at U({i})/U({i - 1})"
             )
-
-    @property
-    def alphabet_max(self) -> int:
-        """Largest digit of the alphabet.
-
-        Taken from the declared bound when one was supplied (it is
-        validated against every materialized quotient); otherwise the
-        bound observed on the materialized range, probing a few dozen
-        indices first.
-        """
-        if self._declared_alphabet_max is not None:
-            return self._declared_alphabet_max
-        self.u(max(_ALPHABET_PROBE, len(self._u) - 1))
-        return self._observed_alphabet_max
 
     # -- representations -------------------------------------------------------
 
@@ -260,11 +245,9 @@ class NumSys:
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
-        # a system whose values break anywhere up to max_len + 1 (up to
-        # _ALPHABET_PROBE, where an undeclared alphabet is inferred) is
+        # a system whose values break anywhere up to max_len + 1 is
         # rejected, whatever length its first violation has
-        declared = self._declared_alphabet_max is not None
-        self.u(max_len + 1 if declared else max(max_len + 1, _ALPHABET_PROBE))
+        self.u(max_len + 1)
         _, fails_at = self.scan_generating_word(max_len + 1)
         if fails_at is None:
             return BertrandReport(max_len, max_len, None)
@@ -356,8 +339,8 @@ class NumSys:
             "initial": list(g.initial),
             "recurrence": {"coeffs": list(g.coeffs), "addend": g.addend},
         }
-        if self._declared_alphabet_max is not None:
-            out["alphabet_max"] = self._declared_alphabet_max
+        if self._alphabet_max is not None:
+            out["alphabet_max"] = self._alphabet_max
         return out
 
     @classmethod

@@ -412,9 +412,7 @@ def base_from_expansion(d: EPWord) -> RealBase:
         raise NumerationError("10^w corresponds to the degenerate base 1")
     if not is_parry_valid(d, strict=True):
         raise NumerationError(f"{d} is not a valid greedy expansion of 1")
-    p = expansion_polynomial(d)
-    if d.zero_tail:
-        p = pl.exact_div(p, (-1, 1))
+    p = char_poly(d, "canonical")
     if pl.degree(p) == 1:
         return RealBase.rational(Fraction(-p[0], p[1]))
     # isolate the unique root > 1: the polynomial is negative at 1 and
@@ -442,6 +440,29 @@ def expansion_polynomial(d: EPWord) -> pl.IntPoly:
     for j in range(1, m + 1):
         coeffs[m - j] += digits[j - 1]
     return pl.poly(coeffs)
+
+
+def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
+    """Characteristic polynomial of the recurrence satisfied by the system.
+
+    canonical: for a finite expansion t1..tn the polynomial is
+    X^n - sum t_j X^{n-j}; for an ultimately periodic quasi-greedy word
+    with preperiod m and period n it is
+    (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
+    noncanonical: requires a finite expansion t1..tn and yields
+    (X^{n+1} - sum t_j X^{n+1-j}) - (X^n - sum t_j X^{n-j}).
+    """
+    _check_variant(variant)
+    if not isinstance(word, EPWord):
+        word = epword(tuple(word), (0,))
+    p = expansion_polynomial(word)
+    if variant == "canonical":
+        return pl.exact_div(p, (-1, 1)) if word.zero_tail else p
+    if not word.zero_tail:
+        raise NumerationError(
+            "noncanonical recurrences require a finite expansion of 1"
+        )
+    return p
 
 
 def _check_variant(variant: str):

@@ -36,6 +36,16 @@ def member_direct(s: NumSys, w) -> bool:
     return stripped == s.rep(s.val(stripped))
 
 
+def letter_bound(s: NumSys, length: int) -> int:
+    """The largest letter of a member of length at most `length`.
+
+    Each letter of a member starts a suffix, itself a member, so it is at
+    most the first letter of the greatest member of that suffix's length;
+    and that first letter occurs.  So the bound is exact.
+    """
+    return max((s.lex_max(j)[0] for j in range(1, length + 1)), default=0)
+
+
 def count_length(s: NumSys, i: int) -> int:
     """Number of length-i words in the language, by a digit DP.
 
@@ -49,7 +59,7 @@ def count_length(s: NumSys, i: int) -> int:
         raise NumerationError("length must be nonnegative")
     if i == 0:
         return 1
-    alphabet = range(s.alphabet_max + 1)
+    alphabet = range(letter_bound(s, i) + 1)
     bounds = {length: s.lex_max(length) for length in range(1, i + 1)}
     # states: frozenset of matched lengths (ages) of still-tight suffixes
     states = {frozenset(): 1}
@@ -88,7 +98,7 @@ def members_by_length(s: NumSys, max_len: int) -> list:
     suffixes, so a word belongs to level L+1 exactly when its tail
     lies in level L and the whole word is at most lex_max(L+1).
     """
-    alphabet = range(s.alphabet_max + 1)
+    alphabet = range(letter_bound(s, max_len) + 1)
     levels = [{()}]
     for length in range(1, max_len + 1):
         bound = s.lex_max(length)
@@ -164,8 +174,7 @@ def bertrand_holds_up_to(s: NumSys, max_len: int) -> int:
     """
     if max_len < 1:
         raise NumerationError("max_len must be >= 1")
-    top = s.alphabet_max
-    s.u(max_len + 1)
+    top = letter_bound(s, max_len + 1)  # the letters of every N_k
     prolonged = [()]  # N_j at index j
     for k in range(1, max_len + 1):
         prolonged.append(s.lex_max(k + 1)[:k])
@@ -237,7 +246,7 @@ class EquivReport:
 def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
     """Exhaustively compare DFA acceptance with the numeration language,
     level by level, for all words up to max_len over the union alphabet."""
-    alphabet = sorted(set(dfa.alphabet) | set(range(s.alphabet_max + 1)))
+    alphabet = sorted(set(dfa.alphabet) | set(range(letter_bound(s, max_len) + 1)))
     levels = members_by_length(s, max_len)
     # survivors of the DFA walk, word -> state
     walk = {(): dfa.initial}

@@ -25,6 +25,7 @@ from oracles import (
     ceil_minus_one,
     certify_generating_word,
     floor_of,
+    letter_bound,
     recurrence_from_char_poly,
     shift_member,
 )
@@ -112,9 +113,10 @@ def test_alphabet_claims(name):
     base = make_base(name)
     canonical = build_bertrand(base, "canonical")
     noncanonical = build_bertrand(base, "noncanonical")
-    assert canonical.alphabet_max == ceil_minus_one(base)
-    assert noncanonical.alphabet_max == floor_of(base)
-    # the bound is attained by the digits that actually occur
+    # the members up to length 10 use exactly the letters 0..ceil(beta) - 1
+    # (canonical) and 0..floor(beta) (non-canonical)
+    assert letter_bound(canonical, 10) == ceil_minus_one(base)
+    assert letter_bound(noncanonical, 10) == floor_of(base)
     assert max(canonical.lex_max(10)) == ceil_minus_one(base)
     assert max(noncanonical.lex_max(10)) == floor_of(base)
 

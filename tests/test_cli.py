@@ -150,13 +150,53 @@ def test_check_bertrand_large_max_len(capsys):
     assert out == "holds up to length 40"
 
 
-def test_check_bertrand_infers_alphabet_from_initial_values(capsys, tmp_path):
-    # ex31_not_prolongable without alphabet_max: U(1) = 3 needs the digit 2
+def test_check_bertrand_without_declared_alphabet(capsys, tmp_path):
+    # ex31_not_prolongable without alphabet_max gives the same answer
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"initial": [1, 3], "recurrence": {"coeffs": [1, 1]}}))
     code, out, _ = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "6")
     assert code == 0
     assert out == "violation: 20 (prolongability); holds up to length 1"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "--system", "bertrand:12", "--probe", "5"], "not Bertrand: 20 (prefix-closure)"),
+        (["classify", "--system", "bertrand:1(2)", "--probe", "5"], "not Bertrand: 20 (prefix-closure)"),
+        (["rep", "--system", "bertrand:12", "--n", "1000"], "1011110000"),
+        (["check-bertrand", "--system", "bertrand:12", "--max-len", "5"],
+         "violation: 20 (prefix-closure); holds up to length 1"),
+    ],
+    ids=["classify-12", "classify-1(2)", "rep-12", "check-bertrand-12"],
+)
+def test_words_with_a_letter_above_the_first(capsys, argv, expected):
+    # a generating word fixes no alphabet: its letters may exceed the first
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_check_bertrand_reads_values_through_max_len_plus_one(capsys, tmp_path):
+    # U = 1, 2, 3, 5, 7, 8, 6 stops increasing at U(6): that breaks the
+    # system for max_len 5, but not for max_len 3
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1, 2, 3], "recurrence": {"coeffs": [2, -1, -1], "addend": 2}}))
+    code, out, _ = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "3")
+    assert (code, out) == (0, "violation: 1010 (prolongability); holds up to length 3")
+    code, out, err = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: sequence is not strictly increasing at U(6) = 6"
+
+
+def test_check_bertrand_rejects_a_contradicted_alphabet(capsys, tmp_path):
+    # U = 1, 2, 3, 9: the quotient 9/3 needs the digit 2
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1, 2, 3], "recurrence": {"coeffs": [3]}, "alphabet_max": 1}))
+    code, out, _ = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "1")
+    assert (code, out) == (0, "holds up to length 1")
+    code, out, err = run(capsys, "check-bertrand", "--system", str(path), "--max-len", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: declared alphabet bound 1 contradicted at U(3)/U(2)"
 
 
 def test_classify(capsys):

@@ -21,7 +21,13 @@ from bertrandnum import (
     is_parry_valid,
 )
 
-from oracles import certify_generating_word, dfa_equiv_language, minimized, shift_member
+from oracles import (
+    certify_generating_word,
+    dfa_equiv_language,
+    letter_bound,
+    minimized,
+    shift_member,
+)
 
 
 def small_bases():
@@ -60,7 +66,7 @@ def test_system_automaton_membership_classifier_agree(word, variant):
     assert report.agree, report.first_disagreement
     for i in range(13):
         assert dfa.count_accepted(i) == s.u(i), i
-    for w in itertools.product(range(s.alphabet_max + 2), repeat=3):
+    for w in itertools.product(range(letter_bound(s, 3) + 2), repeat=3):
         assert shift_member(base, w, variant) == dfa.accepts(w), w
     res = classify_bertrand(s, 7)
     assert certify_generating_word(s, res.word)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +9,7 @@ from bertrandnum import (
     NumSys,
     NumerationError,
     Violation,
+    classify_bertrand,
     epword,
     format_epword,
     is_parry_valid,
@@ -19,6 +21,7 @@ from oracles import (
     bertrand_holds_up_to,
     bertrand_violations,
     count_length,
+    letter_bound,
     member_direct,
     members_by_length,
 )
@@ -162,7 +165,7 @@ def test_levels_equal_padded_representations(name):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_member_agrees_with_direct_check_sampled(name):
     s = load_system(name)
-    alphabet = range(s.alphabet_max + 1)
+    alphabet = range(letter_bound(s, 4) + 1)
     for w in itertools.product(alphabet, repeat=4):
         assert s.member(w) == member_direct(s, w), (name, w)
 
@@ -248,8 +251,9 @@ def test_check_bertrand_scans_past_a_repeated_window():
 
 @st.composite
 def recurrence_systems(draw):
-    """Recurrences of order <= 3 with coefficients 0..3, addend 0 or 1 and
-    an inferred alphabet of at most 0..4, as system JSON."""
+    """Recurrences of order <= 3 with coefficients 0..3 and addend 0 or 1
+    whose members of length at most 7 use the letters 0..4 at most, as
+    system JSON."""
     order = draw(st.integers(1, 3))
     initial = [1]
     for _ in range(order - 1):
@@ -262,7 +266,7 @@ def recurrence_systems(draw):
         },
     }
     try:
-        assume(NumSys.from_json(data).alphabet_max <= 4)
+        assume(letter_bound(NumSys.from_json(data), 7) <= 4)
     except NumerationError:
         assume(False)
     return data
@@ -293,9 +297,9 @@ parry_words = generating_words().filter(is_parry_valid)
 def test_check_bertrand_matches_enumeration(data, max_len):
     try:
         holds_up_to, violations = bertrand_violations(NumSys.from_json(data), max_len)
-    except NumerationError:
-        # a word with a letter above its first one breaks its own alphabet
-        with pytest.raises(NumerationError):
+    except NumerationError as exc:
+        # the values stop increasing within max_len + 1
+        with pytest.raises(NumerationError, match=re.escape(str(exc))):
             NumSys.from_json(data).check_bertrand(max_len)
         return
     report = NumSys.from_json(data).check_bertrand(max_len)
@@ -306,13 +310,28 @@ def test_check_bertrand_matches_enumeration(data, max_len):
 @settings(max_examples=150, deadline=None)
 @given(system_jsons(), st.integers(1, 40))
 def test_check_bertrand_matches_greatest_words(data, max_len):
+    # both read U through max_len + 1 only, so they reject the same systems
     try:
         expected = bertrand_holds_up_to(NumSys.from_json(data), max_len)
-    except NumerationError:
-        with pytest.raises(NumerationError):
+    except NumerationError as exc:
+        with pytest.raises(NumerationError, match=re.escape(str(exc))):
             NumSys.from_json(data).check_bertrand(max_len)
         return
     assert NumSys.from_json(data).check_bertrand(max_len).holds_up_to == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(generating_words())
+def test_every_word_gets_the_enumerated_verdict(word):
+    # no shift-dominance filter: a letter may exceed the first one, and the
+    # system it generates still gets an exact verdict
+    for max_len in range(1, 6):
+        holds_up_to, violations = bertrand_violations(NumSys.from_word(word), max_len)
+        report = NumSys.from_word(word).check_bertrand(max_len)
+        assert report.holds_up_to == holds_up_to, max_len
+        assert report.first_violation == (violations[0] if violations else None), max_len
+    res = classify_bertrand(NumSys.from_word(word), 5)
+    assert (res.case == "not_bertrand") == (not is_parry_valid(word, strict=False))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +339,7 @@ def test_check_bertrand_matches_greatest_words(data, max_len):
 
 
 def brute_force_count(s, i):
-    alphabet = range(s.alphabet_max + 1)
+    alphabet = range(letter_bound(s, i) + 1)
     return sum(1 for w in itertools.product(alphabet, repeat=i) if s.member(w))
 
 
@@ -336,7 +355,7 @@ def test_count_examples(base3_noncanonical, zeckendorf):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_count_matches_brute_force(name):
     s = load_system(name)
-    top = 5 if s.alphabet_max >= 4 else 7
+    top = 5 if letter_bound(s, 7) >= 4 else 7
     for i in range(top + 1):
         assert count_length(s, i) == brute_force_count(s, i), (name, i)
 
@@ -379,11 +398,6 @@ def test_declared_alphabet_mismatch_is_hard_error():
     s = NumSys.from_recurrence([1], [3], 1, alphabet_max=2)  # true bound is 3
     with pytest.raises(NumerationError):
         s.u(2)
-
-
-def test_alphabet_inferred_when_missing():
-    s = NumSys.from_recurrence([1, 2], [1, 1])
-    assert s.alphabet_max == 1
 
 
 def test_json_roundtrip(zeckendorf):
