@@ -4,58 +4,83 @@ Everything is exact: digits of expansions come from rational or
 algebraic-number arithmetic with certified floors, languages are handled
 through greedy representations and the suffix criterion, and asymptotic
 claims are verified with rational interval enclosures.
+
+Importing the package loads none of its layers.  Each public name below
+is resolved from its submodule on first access (PEP 562), so a caller
+pays only for the layers it uses: `bertrandnum.cli` builds its parser
+without any of them, and each command imports what it runs.
 """
 
-from .errors import (
-    NumerationError,
-    RefinementBudgetError,
-    UnresolvedBaseError,
-    WordError,
-)
-from .words import (
-    DigitWord,
-    EPWord,
-    digit_word,
-    epword,
-    format_epword,
-    format_word,
-    is_parry_valid,
-    lex_cmp,
-    parse_epword,
-    parse_word,
-    quasi_to_greedy,
-    shift,
-    suffixes_at_most,
-)
-from .realbase import (
-    VARIANTS,
-    ParryClass,
-    RealBase,
-    base_from_expansion,
-    char_poly,
-    expansion_polynomial,
-    generating_word,
-    parse_base,
-    quasi_greedy_of,
-)
-from .numsys import BertrandReport, NumSys, Violation, parse_system
-from .bertrand import (
-    ClassifyResult,
-    CountingIdentityReport,
-    build_bertrand,
-    classify_bertrand,
-    verify_counting_identity,
-)
-from .automata import Dfa, build_shift_dfa
-from .analysis import (
-    EntropyReport,
-    LexMaxConvergenceReport,
-    dominant_root_ratios,
-    entropy_estimates,
-    lexmax_convergence_probe,
-    renewal_empirical,
-    renewal_target,
-)
-from .intervals import Interval
+VARIANTS = ("canonical", "noncanonical")
 
 __version__ = "0.1.0"
+
+# the public names of each layer
+_LAYERS = {
+    "errors": ("NumerationError", "RefinementBudgetError", "UnresolvedBaseError", "WordError"),
+    "words": (
+        "DigitWord",
+        "EPWord",
+        "digit_word",
+        "epword",
+        "format_epword",
+        "format_word",
+        "is_parry_valid",
+        "lex_cmp",
+        "parse_epword",
+        "parse_word",
+        "quasi_to_greedy",
+        "shift",
+        "suffixes_at_most",
+    ),
+    "realbase": (
+        "ParryClass",
+        "RealBase",
+        "base_from_expansion",
+        "char_poly",
+        "expansion_polynomial",
+        "generating_word",
+        "parse_base",
+        "quasi_greedy_of",
+    ),
+    "numsys": ("BertrandReport", "NumSys", "Violation", "parse_system"),
+    "bertrand": (
+        "ClassifyResult",
+        "CountingIdentityReport",
+        "build_bertrand",
+        "classify_bertrand",
+        "verify_counting_identity",
+    ),
+    "automata": ("Dfa", "build_shift_dfa"),
+    "analysis": (
+        "EntropyReport",
+        "LexMaxConvergenceReport",
+        "dominant_root_ratios",
+        "entropy_estimates",
+        "lexmax_convergence_probe",
+        "renewal_empirical",
+        "renewal_target",
+    ),
+    "intervals": ("Interval",),
+    "polynomials": (),
+}
+_EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = ["VARIANTS", *_EXPORTS]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _LAYERS:  # a layer read as an attribute before it was imported
+        return import_module(f"{__name__}.{name}")
+    layer = _EXPORTS.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

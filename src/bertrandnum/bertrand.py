@@ -67,6 +67,16 @@ def classify_bertrand(s: NumSys, probe_len: int) -> ClassifyResult:
     check_bertrand at the length where the word fails.  The values of U
     through probe_len + 1 are checked first, so bad values there are
     rejected.
+
+    A Case 1, 2 or 3 verdict does not depend on probe_len: U is then the
+    system of its own generating word, whose values always increase.  A
+    "not_bertrand" verdict can.  A recurrence whose values stop increasing
+    beyond probe_len + 1 gets it at a small probe_len and a
+    NumerationError at a larger one: initial values 1, 2, 3, 7 with
+    coefficients 0, 2, 0 and addend 1 give U(4) = 7, so probe_len 2 finds
+    the violation 110 and probe_len 3 raises.  No finite check removes
+    this in general: deciding whether a linear recurrence stays
+    increasing is the Positivity Problem.
     """
     if probe_len < 2:
         raise NumerationError("probe_len must be >= 2")

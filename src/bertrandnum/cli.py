@@ -3,6 +3,10 @@
 One subcommand per library operation; every worked example in the docs
 is reproducible from here.  Exit codes: 0 on success, 1 on domain errors
 (bad words, unresolved bases, ...), 2 on usage errors.
+
+Building the parser loads no layer of the library: each command and
+helper imports the layers it uses when it runs, so `member` never loads
+the real-base arithmetic and `dbeta` never loads the numeration systems.
 """
 
 from __future__ import annotations
@@ -10,17 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import analysis, automata, bertrand
-from . import polynomials as pl
+from . import VARIANTS
 from .errors import NumerationError
-from .numsys import parse_system
-from .realbase import VARIANTS, parse_base, base_from_expansion
-from .words import EPWord, format_epword, format_word, parse_epword, parse_word
 
 
 def _word_or_prefix(result) -> str:
+    from .words import EPWord, format_epword, format_word
+
     if isinstance(result, EPWord):
         return format_epword(result)
     return format_word(result)
@@ -36,6 +37,10 @@ def _interval_json(iv) -> dict:
 
 
 def _base_json(base) -> dict:
+    from fractions import Fraction
+
+    from . import polynomials as pl
+
     out = {"spec": base.source, "kind": base.kind}
     if base.kind == "algebraic":
         out["polynomial"] = pl.high_first(base.poly)
@@ -47,6 +52,8 @@ def _base_json(base) -> dict:
 
 
 def cmd_dbeta(args) -> int:
+    from .realbase import parse_base
+
     base = parse_base(args.base)
     cls = base.parry_class(args.depth)
     word = _word_or_prefix(cls.word)
@@ -58,6 +65,8 @@ def cmd_dbeta(args) -> int:
 
 
 def cmd_dstar(args) -> int:
+    from .realbase import parse_base
+
     base = parse_base(args.base)
     cls = base.parry_class(args.depth)
     word = _word_or_prefix(cls.quasi_greedy)
@@ -70,6 +79,10 @@ def cmd_dstar(args) -> int:
 
 
 def cmd_beta_of(args) -> int:
+    from . import polynomials as pl
+    from .realbase import base_from_expansion
+    from .words import parse_epword
+
     base = base_from_expansion(parse_epword(args.word))
     if args.json:
         print(json.dumps(_base_json(base)))
@@ -88,8 +101,11 @@ def _coincides(base, variant) -> bool:
 
 
 def cmd_build(args) -> int:
+    from .bertrand import build_bertrand
+    from .realbase import parse_base
+
     base = parse_base(args.beta)
-    s = bertrand.build_bertrand(base, args.variant)
+    s = build_bertrand(base, args.variant)
     values = s.values(args.count)
     if args.json:
         with open(args.json, "w") as fh:
@@ -105,24 +121,36 @@ def cmd_build(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    from .numsys import parse_system
+    from .words import format_word
+
     s = parse_system(args.system)
     print(format_word(s.rep(args.n)))
     return 0
 
 
 def cmd_val(args) -> int:
+    from .numsys import parse_system
+    from .words import parse_word
+
     s = parse_system(args.system)
     print(s.val(parse_word(args.word)))
     return 0
 
 
 def cmd_member(args) -> int:
+    from .numsys import parse_system
+    from .words import parse_word
+
     s = parse_system(args.system)
     print("true" if s.member(parse_word(args.word)) else "false")
     return 0
 
 
 def cmd_check_bertrand(args) -> int:
+    from .numsys import parse_system
+    from .words import format_word
+
     s = parse_system(args.system)
     report = s.check_bertrand(args.max_len)
     if args.json:
@@ -151,6 +179,9 @@ def cmd_check_bertrand(args) -> int:
 
 
 def _classify_text(res) -> str:
+    from . import polynomials as pl
+    from .words import format_word
+
     if res.case == "case1":
         return "Case 1: U(i) = i + 1 [certified]"
     if res.case in ("case2", "case3"):
@@ -166,8 +197,12 @@ def _classify_text(res) -> str:
 
 
 def cmd_classify(args) -> int:
+    from .bertrand import classify_bertrand
+    from .numsys import parse_system
+    from .words import format_epword, format_word
+
     s = parse_system(args.system)
-    res = bertrand.classify_bertrand(s, args.probe)
+    res = classify_bertrand(s, args.probe)
     if args.json:
         out = {
             "case": res.case,
@@ -187,7 +222,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    p = bertrand.char_poly(parse_epword(args.word), args.variant)
+    from . import polynomials as pl
+    from .realbase import char_poly
+    from .words import parse_epword
+
+    p = char_poly(parse_epword(args.word), args.variant)
     if args.json:
         print(json.dumps({"coeffs_high_first": pl.high_first(p), "pretty": pl.format_poly(p)}))
     else:
@@ -196,8 +235,11 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_automaton(args) -> int:
+    from .automata import build_shift_dfa
+    from .realbase import parse_base
+
     base = parse_base(args.beta)
-    dfa = automata.build_shift_dfa(base, args.variant)
+    dfa = build_shift_dfa(base, args.variant)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dfa.to_dot())
@@ -212,8 +254,11 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_counting_identity(args) -> int:
+    from .bertrand import verify_counting_identity
+    from .realbase import parse_base
+
     base = parse_base(args.beta)
-    report = bertrand.verify_counting_identity(base, args.range)
+    report = verify_counting_identity(base, args.range)
     if report.holds:
         print(f"U'(i+{report.n}) = U(i+{report.n}) + U'(i) holds for 0 <= i <= {report.range_max}")
         return 0
@@ -222,6 +267,10 @@ def cmd_counting_identity(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+    from .numsys import parse_system
+    from .realbase import parse_base
+
     s = parse_system(args.system)
     base = parse_base(args.beta)
     ratios = analysis.dominant_root_ratios(s, args.imax)
@@ -328,7 +377,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--probe",
         type=int,
         default=12,
-        help="check the values of U through PROBE + 1 (>= 2); the verdict does not depend on it",
+        help="check the values of U through PROBE + 1 (>= 2); a Case verdict does not depend "
+        "on it, but a recurrence whose values stop increasing beyond PROBE + 1 is 'not "
+        "Bertrand' at a small PROBE and an error at a larger one (no finite check rules "
+        "that out: it is the Positivity Problem)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)

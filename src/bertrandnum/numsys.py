@@ -107,9 +107,13 @@ class NumSys:
 
     @classmethod
     def from_recurrence(cls, initial, coeffs, addend: int = 0, alphabet_max=None):
+        """Each number must be an integer (a bool or a float is not one),
+        and initial and coeffs lists or tuples of them."""
         return cls(
-            Recurrence(tuple(int(v) for v in initial), tuple(int(c) for c in coeffs), int(addend)),
-            alphabet_max,
+            Recurrence(
+                _integers(initial, "initial"), _integers(coeffs, "coeffs"), _integer(addend, "addend")
+            ),
+            None if alphabet_max is None else _integer(alphabet_max, "alphabet_max"),
         )
 
     @classmethod
@@ -345,22 +349,41 @@ class NumSys:
 
     @classmethod
     def from_json(cls, data: dict) -> "NumSys":
-        if "bertrand" in data:
-            return cls.from_word(parse_epword(data["bertrand"]["word"]))
-        try:
-            initial = data["initial"]
-            rec = data["recurrence"]
-            coeffs = rec["coeffs"]
-            addend = rec.get("addend", 0)
-        except (KeyError, TypeError):
-            raise NumerationError(f"bad numeration system JSON: {data!r}") from None
-        return cls.from_recurrence(initial, coeffs, addend, data.get("alphabet_max"))
+        """{"bertrand": {"word": "<word>"}}, or {"initial": [...],
+        "recurrence": {"coeffs": [...], "addend": n}, "alphabet_max": n}
+        with the addend and the alphabet bound optional."""
+        if isinstance(data, dict):
+            rule, rec = data.get("bertrand"), data.get("recurrence")
+            if "bertrand" in data:
+                if isinstance(rule, dict) and isinstance(rule.get("word"), str):
+                    return cls.from_word(parse_epword(rule["word"]))
+            elif "initial" in data and isinstance(rec, dict) and "coeffs" in rec:
+                return cls.from_recurrence(
+                    data["initial"], rec["coeffs"], rec.get("addend", 0), data.get("alphabet_max")
+                )
+        raise NumerationError(f"bad numeration system JSON: {data!r}")
 
     def __repr__(self):
         g = self.generator
         if isinstance(g, BertrandRule):
             return f"NumSys(word={format_epword(g.word)})"
         return f"NumSys(initial={list(g.initial)}, coeffs={list(g.coeffs)}, addend={g.addend})"
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_integer(value):
+        raise NumerationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, what: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(map(_is_integer, values)):
+        raise NumerationError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(values)
 
 
 def _recurrent_letters(c, r):

@@ -30,8 +30,9 @@ prefix while unresolved); `digits_prefix` and `require_parry` read
 through it.  Everything built from a base (its systems, automata and
 enclosures) asks for the expansion at the default depth, so resolving a
 base deeper once with `require_parry(depth)` serves every later builder.
-A non-integer rational base is decided "not Parry" at any depth: a Parry
-number is an algebraic integer (Parry 1960).
+A non-integer rational base is decided "not Parry" at any depth, however
+its polynomial is written: a Parry number is an algebraic integer (Parry
+1960).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import VARIANTS
 from . import polynomials as pl
 from .errors import NumerationError, RefinementBudgetError, UnresolvedBaseError
 from .intervals import Interval
@@ -54,7 +56,6 @@ from .words import (
 )
 
 DEFAULT_DEPTH = 64
-VARIANTS = ("canonical", "noncanonical")
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
 
 # The key of a remainder in the repeat index.  Only a hint: equal keys are
@@ -222,6 +223,21 @@ class RealBase:
         else:
             self._ival[1] = mid
 
+    def _rational_root(self) -> Fraction | None:
+        """Beta as a Fraction when it is rational, whatever the degree of its
+        polynomial, else None.
+
+        By the rational root theorem a rational root of the primitive p
+        has a denominator dividing the leading coefficient, so once the
+        enclosure is narrower than 1/lead the one candidate k/lead is
+        tested exactly.
+        """
+        lead = self.poly[-1]
+        self.enclosure(Fraction(1, lead))
+        lo, hi = self._ival
+        q = Fraction(math.ceil(lo * lead), lead)
+        return q if q <= hi and pl.sign_at(self.poly, q) == 0 else None
+
     def approx(self) -> float:
         return float(self.enclosure(Fraction(1, 10**12)).mid)
 
@@ -343,10 +359,10 @@ class RealBase:
         A repeated exact remainder proves ultimate periodicity; a zero
         remainder proves finiteness.  A non-integer rational base is never
         Parry, because a Parry number is an algebraic integer (Parry 1960):
-        it gets "not_parry" with its digit prefix.  Otherwise absence of
-        both within `depth` only yields "unresolved" (never a claim that
-        beta is not Parry).  A base resolved once stays resolved at every
-        depth.
+        it gets "not_parry" with its digit prefix, also when its polynomial
+        is not minimal (see `_rational_root`).  Otherwise absence of both
+        within `depth` only yields "unresolved" (never a claim that beta
+        is not Parry).  A base resolved once stays resolved at every depth.
         """
         if depth < 1:
             raise NumerationError("depth must be >= 1")
@@ -354,7 +370,8 @@ class RealBase:
             self._step()
         w = self._resolved
         if w is None:
-            kind = "not_parry" if self.kind == "rational" else "unresolved"
+            q = self._rational_root()
+            kind = "not_parry" if q is not None and q.denominator > 1 else "unresolved"
             return ParryClass(kind, tuple(self._digits[:depth]), depth=depth)
         if w.zero_tail:
             return ParryClass("simple", w, n=len(w.support))

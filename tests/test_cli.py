@@ -50,6 +50,21 @@ def test_dbeta_rational_not_parry(capsys):
     assert "is not a Parry number" in err
 
 
+def test_rational_base_through_a_non_minimal_polynomial(capsys):
+    # 3/2 as a root of (2X - 3)(X - 2) is the same base as rat:3/2
+    for argv in (["--depth", "30"], ["--depth", "30", "--json"]):
+        poly = run(capsys, "dbeta", "--base", "poly:2,-7,6@(7/5,8/5)", *argv)
+        assert poly == run(capsys, "dbeta", "--base", "rat:3/2", *argv)
+    assert poly[1] == json.dumps({
+        "word": "101000001001001010000000001000",
+        "resolved": False,
+        "class": "not Parry (non-integer rational base)",
+    })
+    code, out, err = run(capsys, "build", "--beta", "poly:2,-7,6@(7/5,8/5)", "--variant", "canonical")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "is not a Parry number" in err
+
+
 def test_dstar(capsys):
     code, out, _ = run(capsys, "dstar", "--base", "int:3")
     assert code == 0
@@ -223,6 +238,48 @@ def test_classify_verdict_does_not_depend_on_the_probe(capsys, name):
     system = str(FIXTURES / f"{name}.json")
     lines = {run(capsys, "classify", "--system", system, "--probe", p)[1] for p in ("2", "9", "40")}
     assert len(lines) == 1, lines
+
+
+def test_classify_verdict_of_a_recurrence_that_stops_increasing(capsys, tmp_path):
+    # U = 1, 2, 3, 7, 7: the values through probe + 1 are all that is checked,
+    # so probe 2 sees an increasing prefix and probe 3 sees U(4) = U(3)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1, 2, 3, 7], "recurrence": {"coeffs": [0, 2, 0], "addend": 1}}))
+    code, out, err = run(capsys, "classify", "--system", str(path), "--probe", "2")
+    assert (code, out, err) == (0, "not Bertrand: 110 (prefix-closure)", "")
+    code, out, err = run(capsys, "classify", "--system", str(path), "--probe", "3")
+    assert (code, out, err) == (1, "", "error: sequence is not strictly increasing at U(4) = 7")
+
+
+RECURRENCE = {"initial": [1, 2], "recurrence": {"coeffs": [1, 1], "addend": 0}}
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {**RECURRENCE, "initial": ["a"]},
+        {**RECURRENCE, "initial": 5},
+        {**RECURRENCE, "recurrence": {"coeffs": 3}},
+        {**RECURRENCE, "alphabet_max": "x"},
+        {"bertrand": {"word": 5}},
+        {"bertrand": 5},
+        {"bertrand": {}},
+        {**RECURRENCE, "initial": [1.5, 2]},
+        {**RECURRENCE, "recurrence": {"coeffs": [1, 1], "addend": True}},
+        {**RECURRENCE, "recurrence": {"coeffs": [1, 1.0]}},
+        5,
+    ],
+    ids=["initial-string", "initial-number", "coeffs-number", "alphabet-string", "word-number",
+         "bertrand-number", "bertrand-empty", "initial-float", "addend-bool", "coeffs-float",
+         "top-level-number"],
+)
+def test_malformed_system_json_is_a_domain_error(capsys, tmp_path, system):
+    # only JSON integers count as numbers, and only lists as lists
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "classify", "--system", str(path), "--probe", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "\n" not in err
 
 
 def test_classify_short_probe_finds_a_long_witness(capsys):

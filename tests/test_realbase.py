@@ -347,7 +347,7 @@ def test_rational_root_through_polynomial_matches_fraction_path():
     expected, _ = rational_digits(Fraction(3, 2), 30)
     assert a.digits_prefix(30) == expected
     assert a.digits_prefix(30)[:4] == (1, 0, 1, 0)
-    assert a.parry_class(30).kind == "unresolved"
+    assert a.parry_class(30).kind == "not_parry"
     c = parse_base("poly:2,-7,6@(7/5,8/5)")
     assert c.digits_prefix(15) == expected[:15]
 
