@@ -1,9 +1,10 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from bertrandnum import (
     NumerationError,
@@ -388,12 +389,26 @@ def test_refinement_budget_is_an_explicit_error(monkeypatch):
 # the remainder engine against the Fraction loop, and its repeat index
 
 
+def rational_roots_in(poly, lo: Fraction, hi: Fraction):
+    """Every rational root of poly in [lo, hi], by trying each k/d with d
+    dividing the leading coefficient (the rational root theorem)."""
+    lead = poly[-1]
+    roots = set()
+    for d in range(1, abs(lead) + 1):
+        if lead % d == 0:
+            for k in range(math.ceil(lo * d), math.floor(hi * d) + 1):
+                if pl.sign_at(poly, Fraction(k, d)) == 0:
+                    roots.add(Fraction(k, d))
+    return roots
+
+
 def oracle_class(base: RealBase, depth: int):
     """(word, kind) of the Fraction loop, with the certificate a
-    non-integer rational base gets."""
+    non-integer rational base gets, whatever the degree of its polynomial."""
     enc = base.enclosure()
     word, kind = fraction_expansion(base.poly, (enc.lo, enc.hi), depth)
-    if base.kind == "rational" and kind == "unresolved":
+    rational = rational_roots_in(base.poly, enc.lo, enc.hi)
+    if kind == "unresolved" and any(q.denominator > 1 for q in rational):
         kind = "not_parry"
     return word, kind
 
@@ -425,6 +440,8 @@ def isolated_roots(draw):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(isolated_roots(), st.integers(1, 120))
+# 3/2 as a root of (2X - 3)(X + 1): rational, though its polynomial is not linear
+@example(((-3, -1, 2), (Fraction(1), Fraction(7))), 1)
 def test_engine_matches_fraction_loop(root, depth):
     # a non-monic p gives remainders with a denominator > 1
     p, (lo, hi) = root
