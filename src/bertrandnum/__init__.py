@@ -66,7 +66,8 @@ _LAYERS = {
 }
 _EXPORTS = {name: layer for layer, names in _LAYERS.items() for name in names}
 
-__all__ = ["VARIANTS", *_EXPORTS]
+# a star import binds the layer modules too, as it did when they were imported eagerly
+__all__ = ["VARIANTS", *_EXPORTS, *_LAYERS]
 
 
 def __getattr__(name):

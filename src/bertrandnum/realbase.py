@@ -223,20 +223,22 @@ class RealBase:
         else:
             self._ival[1] = mid
 
-    def _rational_root(self) -> Fraction | None:
-        """Beta as a Fraction when it is rational, whatever the degree of its
-        polynomial, else None.
+    def _is_non_integer_rational(self) -> bool:
+        """Whether beta is a rational number that is not an integer,
+        whatever the degree of its polynomial.
 
         By the rational root theorem a rational root of the primitive p
-        has a denominator dividing the leading coefficient, so once the
-        enclosure is narrower than 1/lead the one candidate k/lead is
-        tested exactly.
+        has a denominator dividing the leading coefficient: a monic p has
+        none, and otherwise, once the enclosure is narrower than 1/lead,
+        the one candidate k/lead is tested exactly.
         """
         lead = self.poly[-1]
+        if lead == 1:
+            return False
         self.enclosure(Fraction(1, lead))
         lo, hi = self._ival
         q = Fraction(math.ceil(lo * lead), lead)
-        return q if q <= hi and pl.sign_at(self.poly, q) == 0 else None
+        return q <= hi and q.denominator > 1 and pl.sign_at(self.poly, q) == 0
 
     def approx(self) -> float:
         return float(self.enclosure(Fraction(1, 10**12)).mid)
@@ -360,9 +362,10 @@ class RealBase:
         remainder proves finiteness.  A non-integer rational base is never
         Parry, because a Parry number is an algebraic integer (Parry 1960):
         it gets "not_parry" with its digit prefix, also when its polynomial
-        is not minimal (see `_rational_root`).  Otherwise absence of both
-        within `depth` only yields "unresolved" (never a claim that beta
-        is not Parry).  A base resolved once stays resolved at every depth.
+        is not minimal (see `_is_non_integer_rational`).  Otherwise absence
+        of both within `depth` only yields "unresolved" (never a claim that
+        beta is not Parry).  A base resolved once stays resolved at every
+        depth.
         """
         if depth < 1:
             raise NumerationError("depth must be >= 1")
@@ -370,8 +373,7 @@ class RealBase:
             self._step()
         w = self._resolved
         if w is None:
-            q = self._rational_root()
-            kind = "not_parry" if q is not None and q.denominator > 1 else "unresolved"
+            kind = "not_parry" if self._is_non_integer_rational() else "unresolved"
             return ParryClass(kind, tuple(self._digits[:depth]), depth=depth)
         if w.zero_tail:
             return ParryClass("simple", w, n=len(w.support))

@@ -69,7 +69,7 @@ def test_command_loads_only_its_layers(argv, absent):
         assert "fractions" not in loaded
 
 
-PUBLIC_API = sorted([
+PUBLIC_NAMES = [
     "BertrandReport", "ClassifyResult", "CountingIdentityReport", "Dfa", "DigitWord", "EPWord",
     "EntropyReport", "Interval", "LexMaxConvergenceReport", "NumSys", "NumerationError",
     "ParryClass", "RealBase", "RefinementBudgetError", "UnresolvedBaseError", "VARIANTS",
@@ -79,16 +79,22 @@ PUBLIC_API = sorted([
     "is_parry_valid", "lex_cmp", "lexmax_convergence_probe", "parse_base", "parse_epword",
     "parse_system", "parse_word", "quasi_greedy_of", "quasi_to_greedy", "renewal_empirical",
     "renewal_target", "shift", "suffixes_at_most", "verify_counting_identity",
-])
+]
+# every layer but the CLI, which the package never imported
+LAYER_MODULES = [m for m in LAYERS if m != "cli"]
+# what `from bertrandnum import *` binds: the public names and the layer modules
+PUBLIC_API = sorted(PUBLIC_NAMES + LAYER_MODULES)
 
 
 def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(bertrandnum.__all__)
-    layers = [getattr(bertrandnum, m) for m in LAYERS if m != "cli"]
-    for name in PUBLIC_API:
+    layers = [getattr(bertrandnum, m) for m in LAYER_MODULES]
+    for name in PUBLIC_NAMES:
         value = getattr(bertrandnum, name)
         assert [m for m in layers if getattr(m, name, None) is value], name
-        assert name in dir(bertrandnum)
+    for m in LAYER_MODULES:
+        assert getattr(bertrandnum, m).__name__ == f"bertrandnum.{m}"
+    assert set(PUBLIC_API) <= set(dir(bertrandnum))
     assert bertrandnum.NumSys is bertrandnum.numsys.NumSys
     assert bertrandnum.VARIANTS is bertrandnum.realbase.VARIANTS
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -101,10 +107,11 @@ def test_star_import_and_layers_as_attributes():
         "assert bertrandnum.numsys.NumSys.__module__ == 'bertrandnum.numsys'\n"
         "namespace = {}\n"
         "exec('from bertrandnum import *', namespace)\n"
-        "assert set(bertrandnum.__all__) <= set(namespace)\n"
+        f"assert sorted(set(namespace) - {{'__builtins__'}}) == {PUBLIC_API!r}\n"
         "assert namespace['RealBase'] is bertrandnum.realbase.RealBase\n"
+        "assert namespace['numsys'] is bertrandnum.numsys\n"
     )
-    assert {f"bertrandnum.{m}" for m in LAYERS if m != "cli"} <= loaded
+    assert {f"bertrandnum.{m}" for m in LAYER_MODULES} <= loaded
 
 
 def test_import_loads_no_layer():
