@@ -26,7 +26,6 @@ _LAYERS = {
         "format_epword",
         "format_word",
         "is_parry_valid",
-        "lex_cmp",
         "parse_epword",
         "parse_word",
         "quasi_to_greedy",

@@ -21,9 +21,11 @@ The Bertrand condition (w is a member exactly when w0 is) is decided
 from the generating word a of U, a_i = U(i) - 1 - sum_{j<i} a_j U(i-j),
 read one letter at a time: it holds for every word of length at most n
 exactly when a_1..a_{n+1} has no negative letter and none of its factors
-is above the prefix of a of the same length.  The letters follow one
-linear recurrence, so they are eventually periodic or eventually break
-that test (Fatou 1906), and the scan always ends.
+is above the prefix of a of the same length: Parry's automaton walk of
+a_2 a_3 ... against a (words.walk_step), whose states also give the
+first violation.  The letters follow one linear recurrence, so they are
+eventually periodic or eventually break that test (Fatou 1906), and the
+scan always ends.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from .words import (
     epword,
     format_epword,
     is_parry_valid,
-    least_word_above,
     parse_epword,
     suffixes_at_most,
+    walk,
+    walk_step,
 )
 
 
@@ -240,12 +243,23 @@ class NumSys:
         d = a_{j+1}.
 
         So holds_up_to is one less than the first index where the scan
-        fails, or max_len.  At the failing length k, with N_k the first
-        k letters of M_{k+1}, first_violation is the least member of
-        length k above N_k ("prolongability": w is a member, w0 is not)
-        or the least word above M_k whose every suffix s has
-        s <= N_{|s|} ("prefix-closure": w0 is a member, w is not),
-        whichever is smaller, with 0 appended.
+        fails, or max_len.  (3) At the failing length k, let N_k be the
+        first k letters of M_{k+1}.  The scan passes a_1..a_k = M_k, so
+        the members of length k are the words the walk against M_k
+        accepts (words.walk_step), and by the argument of (2) w0 is a
+        member exactly when w <= N_k and w_2..w_k is a member.  So the
+        violations of length k + 1 are w0 for a member w above N_k
+        ("prolongability": w is a member, w0 is not) and for a word w
+        above M_k and at most N_k with w_2..w_k a member
+        ("prefix-closure": w0 is a member, w is not).  The least word of
+        each kind keeps the longest prefix it can of N_k or of M_k,
+        raises the next letter by one and pads with zeros; the states of
+        the walk along N_k, or along M_k from its second letter, show
+        which letters can be raised.  The least word c above M_k with
+        c_2..c_k a member may exceed N_k only when M_k > N_k, as some
+        violation of length k + 1 exists; then the least member above
+        N_k is at most M_k < c.  So first_violation is the smaller of the
+        two, with 0 appended.
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
@@ -257,14 +271,11 @@ class NumSys:
             return BertrandReport(max_len, max_len, None)
         k = fails_at - 1
         m, n = self.lex_max(k), self.lex_max(k + 1)[:k]  # M_k = a_1..a_k, N_k
-        w, kind = min(
-            (w, kind)
-            for w, kind in (
-                (least_word_above(n, lambda j: m[:j]), "prolongability"),
-                (least_word_above(m, lambda j: n if j == k else m[:j]), "prefix-closure"),
-            )
-            if w is not None
-        )
+        prolonged, closed = _least_above(n, m, 0), _least_above(m, m, 1)
+        if prolonged is not None and prolonged < closed:
+            w, kind = prolonged, "prolongability"
+        else:
+            w, kind = closed, "prefix-closure"
         return BertrandReport(max_len, k, Violation(w + (0,), kind))
 
     def scan_generating_word(self, limit: int | None = None):
@@ -278,8 +289,9 @@ class NumSys:
         prefix of a of the same length, and (None, None) when the first
         `limit` letters decide neither.
 
-        The factor test is Duval's (1983) with the order reversed: one
-        comparison per letter.  Brent's (1980) cycle detection watches
+        The factor test is the walk of a_2 a_3 ... against a
+        (words.walk_step), Duval's (1983) test with the order reversed:
+        one step per letter.  Brent's (1980) cycle detection watches
         the windows of letters that determine the next one; a repeated
         window proves a eventually periodic.  The letters are integers
         with a rational generating function, so if a is not eventually
@@ -288,14 +300,13 @@ class NumSys:
         """
         letters, order, start = self._letters()
         a = []
-        period = 1  # a_1..a_i is a prefix of (a_1..a_period)^w
+        q = 0  # the state of the walk of a_2 a_3 ... against a
         saved, saved_at, power = None, start - 1, 1
         for i, x in enumerate(itertools.islice(letters, limit), 1):
-            ref = a[-period] if a else x
-            if x < 0 or x > ref:
+            if a:
+                q = walk_step(a, q, x)
+            if x < 0 or q is None:
                 return None, i
-            if x < ref:
-                period = i
             a.append(x)
             if i < start:
                 continue
@@ -384,6 +395,18 @@ def _integers(values, what: str) -> tuple:
     if not isinstance(values, (list, tuple)) or not all(map(_is_integer, values)):
         raise NumerationError(f"{what} must be a list of integers, got {values!r}")
     return tuple(values)
+
+
+def _least_above(v: DigitWord, a: DigitWord, skip: int) -> DigitWord | None:
+    """The least word of length |v| above v whose letters after the first
+    `skip` the walk against a accepts; None when there is none.  It raises
+    v[p] by one at the last p where the walk allows it, and pads with
+    zeros, which the walk always accepts."""
+    states = walk(a, v[skip:])
+    for p in range(min(len(v), skip + len(states)) - 1, -1, -1):
+        if p < skip or walk_step(a, states[p - skip], v[p] + 1) is not None:
+            return v[:p] + (v[p] + 1,) + (0,) * (len(v) - p - 1)
+    return None
 
 
 def _recurrent_letters(c, r):

@@ -470,10 +470,13 @@ def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
     (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
     noncanonical: requires a finite expansion t1..tn and yields
     (X^{n+1} - sum t_j X^{n+1-j}) - (X^n - sum t_j X^{n-j}).
+    A word whose first letter is 0 generates no system and is rejected.
     """
     _check_variant(variant)
     if not isinstance(word, EPWord):
         word = epword(tuple(word), (0,))
+    if word.digit(0) < 1:
+        raise NumerationError("the generating word must start with a nonzero digit")
     p = expansion_polynomial(word)
     if variant == "canonical":
         return pl.exact_div(p, (-1, 1)) if word.zero_tail else p

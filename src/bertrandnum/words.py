@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import WordError
 
@@ -118,45 +117,13 @@ def epword(pre, per=(0,)) -> EPWord:
     return EPWord(tuple(pre), tuple(per))
 
 
-# -- lexicographic machinery -----------------------------------------------
+# -- shift domination ---------------------------------------------------------
 
 
 def _as_epword(w) -> EPWord:
-    # Finite words are compared against infinite ones by padding with 0^w.
-    # This extends the usual order on words of a common length; the
-    # convention matches how a finite expansion t1..tn is identified with
-    # the infinite word t1..tn 0 0 0 ...
+    # A finite word is read as padded with 0^w, as a finite expansion
+    # t1..tn is identified with the infinite word t1..tn 0 0 0 ...
     return w if isinstance(w, EPWord) else EPWord(tuple(w), (0,))
-
-
-def _cmp_epwords(u: EPWord, v: EPWord) -> int:
-    horizon = max(len(u.pre), len(v.pre)) + lcm(len(u.per), len(v.per)) + 1
-    for i in range(horizon):
-        a, b = u.digit(i), v.digit(i)
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
-def lex_cmp(u, v) -> int:
-    """Three-way lexicographic comparison; returns -1, 0 or 1.
-
-    Finite words may only be compared with finite words of the same
-    length.  Comparisons between infinite words (and the mixed case,
-    where the finite word is padded with zeros) are decided exactly from
-    the preperiod/period structure.
-    """
-    u_fin = not isinstance(u, EPWord)
-    v_fin = not isinstance(v, EPWord)
-    if u_fin and v_fin:
-        if len(u) != len(v):
-            raise WordError(
-                f"cannot compare finite words of different lengths ({len(u)} vs {len(v)})"
-            )
-        if u == v:
-            return 0
-        return -1 if tuple(u) < tuple(v) else 1
-    return _cmp_epwords(_as_epword(u), _as_epword(v))
 
 
 def shift(w: EPWord, i: int) -> EPWord:
@@ -164,21 +131,53 @@ def shift(w: EPWord, i: int) -> EPWord:
     return _as_epword(w).shift(i)
 
 
+def walk_step(a, q: int, x: int) -> int | None:
+    """One step of Parry's automaton for the prefixes of a: in state q
+    the walk has matched a[:q]; a letter above a[q] stops it (None), the
+    letter a[q] moves it to q + 1 and a smaller letter back to 0.
+
+    This is the one comparison of a letter with a bound behind the
+    domination tests.  When every factor of a is at most the prefix of a
+    of the same length, the walk from 0 accepts a word w with |w| <= |a|
+    exactly when suffixes_at_most(w, lambda j: a[:j]): a smaller letter
+    ends every match, since each border a[:r] of a[:q] is followed in a
+    by a letter at least a[q] (Parry 1960).
+    """
+    b = a[q]
+    if x > b:
+        return None
+    return q + 1 if x == b else 0
+
+
+def walk(a, w) -> list:
+    """The states of the walk of w against a from state 0: the state
+    before each letter, then the state after the last one.  A letter that
+    stops the walk ends the list, so it is shorter than |w| + 1 exactly
+    when the walk rejects w."""
+    states = [0]
+    for x in w:
+        q = walk_step(a, states[-1], x)
+        if q is None:
+            break
+        states.append(q)
+    return states
+
+
 def is_parry_valid(d: EPWord, strict: bool = True) -> bool:
     """Check whether every shifted copy of d stays lexicographically below d.
 
     ``strict=True`` demands shift(d, i) < d for all i >= 1 (the condition
     satisfied by greedy expansions of 1); ``strict=False`` allows equality
-    (the condition satisfied by quasi-greedy expansions).  Only the
-    finitely many distinct shifts, i up to |preperiod| + |period|, need
-    to be examined; each comparison is exact.
+    (the condition satisfied by quasi-greedy expansions).  With preperiod
+    m and period n, shift(d, i) for 1 <= i <= m + n are all the shifts,
+    and each first differs from d within m + n letters, so the walk of
+    d_2 d_3 ... against d decides the non-strict condition within the
+    first 2(m + n) letters.  Equality shift(d, i) = d for some i means d
+    is purely periodic.
     """
     d = _as_epword(d)
-    for i in range(1, len(d.pre) + len(d.per) + 1):
-        c = _cmp_epwords(d.shift(i), d)
-        if c > 0 or (strict and c == 0):
-            return False
-    return True
+    head = d.prefix(2 * (len(d.pre) + len(d.per)))
+    return len(walk(head, head[1:])) == len(head) and not (strict and d.purely_periodic)
 
 
 def suffixes_at_most(w: DigitWord, greatest) -> bool:
@@ -196,33 +195,6 @@ def suffixes_at_most(w: DigitWord, greatest) -> bool:
         if w[n - i :] > greatest(i):
             return False
     return True
-
-
-def _completable(prefix: DigitWord, length: int, greatest) -> bool:
-    # Padding with zeros is the least completion of a prefix, and a suffix
-    # s of the prefix padded to s 0^r is <= g exactly when s <= g[:|s|].
-    r = length - len(prefix)
-    return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
-
-
-def least_word_above(v: DigitWord, greatest) -> DigitWord | None:
-    """The least word of length |v| that is above v and whose every
-    suffix s has s <= greatest(|s|); None when there is none.
-
-    The answer keeps the longest completable prefix of v it can, raises
-    the next letter as little as possible (at most greatest(|v| - p)[0]
-    at position p, the one-letter suffix's bound) and pads with zeros.
-    """
-    v = tuple(v)
-    n = len(v)
-    p = 0
-    while p < n and _completable(v[: p + 1], n, greatest):
-        p += 1
-    for p in range(min(p, n - 1), -1, -1):
-        for d in range(v[p] + 1, greatest(n - p)[0] + 1):
-            if _completable(v[:p] + (d,), n, greatest):
-                return v[:p] + (d,) + (0,) * (n - p - 1)
-    return None
 
 
 def quasi_to_greedy(a: EPWord) -> EPWord:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from bertrandnum import (
     DigitWord,
@@ -16,6 +17,7 @@ from bertrandnum import (
     NumSys,
     RealBase,
     Violation,
+    WordError,
     epword,
     expansion_polynomial,
     suffixes_at_most,
@@ -151,6 +153,55 @@ def _completable(prefix: DigitWord, length: int, greatest) -> bool:
     return suffixes_at_most(prefix, lambda i: greatest(i + r)[:i])
 
 
+def least_word_above(v: DigitWord, greatest) -> DigitWord | None:
+    """The least word of length |v| that is above v and whose every
+    suffix s has s <= greatest(|s|); None when there is none.
+
+    The answer keeps the longest completable prefix of v it can, raises
+    the next letter as little as possible (at most greatest(|v| - p)[0]
+    at position p, the one-letter suffix's bound) and pads with zeros.
+    """
+    v = tuple(v)
+    n = len(v)
+    p = 0
+    while p < n and _completable(v[: p + 1], n, greatest):
+        p += 1
+    for p in range(min(p, n - 1), -1, -1):
+        for d in range(v[p] + 1, greatest(n - p)[0] + 1):
+            if _completable(v[:p] + (d,), n, greatest):
+                return v[:p] + (d,) + (0,) * (n - p - 1)
+    return None
+
+
+def first_violation_by_search(s: NumSys, max_len: int):
+    """check_bertrand's (holds_up_to, first_violation) from the
+    definitions.  The letters a_i = U(i) - 1 - sum_{j<i} a_j U(i-j) come
+    from the values, the condition first fails at the length k before the
+    first i where a_i < 0 or a factor of a_1..a_i is above the prefix of a
+    of its length, and the witness is found by least_word_above on the
+    suffix criterion: the least member above N_k or the least word above
+    M_k whose suffixes s have s <= N_{|s|}, whichever is smaller."""
+    s.u(max_len + 1)
+    a = []
+    for i in range(1, max_len + 2):
+        a.append(s.u(i) - 1 - sum(a[j - 1] * s.u(i - j) for j in range(1, i)))
+        if a[-1] < 0 or any(a[j:] > a[: i - j] for j in range(1, i)):
+            break
+    else:
+        return max_len, None
+    k = i - 1
+    m, n = s.lex_max(k), s.lex_max(k + 1)[:k]
+    w, kind = min(
+        (w, kind)
+        for w, kind in (
+            (least_word_above(n, lambda j: m[:j]), "prolongability"),
+            (least_word_above(m, lambda j: n if j == k else m[:j]), "prefix-closure"),
+        )
+        if w is not None
+    )
+    return k, Violation(w + (0,), kind)
+
+
 def greatest_word(length: int, top: int, greatest) -> DigitWord:
     """The greatest word of the given length over 0..top whose every
     suffix s has s <= greatest(|s|), by one greedy pass from the left:
@@ -182,6 +233,47 @@ def bertrand_holds_up_to(s: NumSys, max_len: int) -> int:
         if not (m <= prolonged[k] and greatest_word(k, top, prolonged.__getitem__) <= m):
             return k
     return max_len
+
+
+def _cmp_epwords(u: EPWord, v: EPWord) -> int:
+    horizon = max(len(u.pre), len(v.pre)) + lcm(len(u.per), len(v.per)) + 1
+    for i in range(horizon):
+        a, b = u.digit(i), v.digit(i)
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+def lex_cmp(u, v) -> int:
+    """Three-way lexicographic comparison; returns -1, 0 or 1.
+
+    Finite words may only be compared with finite words of the same
+    length.  Comparisons between infinite words (and the mixed case,
+    where the finite word is padded with zeros) are decided exactly from
+    the preperiod/period structure.
+    """
+    u_fin = not isinstance(u, EPWord)
+    v_fin = not isinstance(v, EPWord)
+    if u_fin and v_fin:
+        if len(u) != len(v):
+            raise WordError(
+                f"cannot compare finite words of different lengths ({len(u)} vs {len(v)})"
+            )
+        if u == v:
+            return 0
+        return -1 if tuple(u) < tuple(v) else 1
+    # a finite word is padded with zeros
+    return _cmp_epwords(*(w if isinstance(w, EPWord) else epword(w) for w in (u, v)))
+
+
+def shift_dominated(d: EPWord, strict: bool) -> bool:
+    """is_parry_valid by comparing d with each of its distinct shifts,
+    i up to |preperiod| + |period|, each comparison exact."""
+    for i in range(1, len(d.pre) + len(d.per) + 1):
+        c = _cmp_epwords(d.shift(i), d)
+        if c > 0 or (strict and c == 0):
+            return False
+    return True
 
 
 def _system_char_poly(s: NumSys):

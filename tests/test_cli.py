@@ -297,6 +297,13 @@ def test_charpoly(capsys):
     assert json.loads(out)["coeffs_high_first"] == [1, -1, -1]
 
 
+@pytest.mark.parametrize("word", ["0", "01", "(01)"])
+def test_charpoly_rejects_a_word_that_generates_no_system(capsys, word):
+    # as NumSys.from_word and beta-of do
+    code, out, err = run(capsys, "charpoly", "--word", word, "--variant", "canonical")
+    assert (code, out, err) == (1, "", "error: the generating word must start with a nonzero digit")
+
+
 def test_automaton_with_dot(capsys, tmp_path):
     dot = tmp_path / "a.dot"
     code, out, _ = run(

@@ -76,7 +76,7 @@ PUBLIC_NAMES = [
     "Violation", "WordError", "base_from_expansion", "build_bertrand", "build_shift_dfa",
     "char_poly", "classify_bertrand", "digit_word", "dominant_root_ratios", "entropy_estimates",
     "epword", "expansion_polynomial", "format_epword", "format_word", "generating_word",
-    "is_parry_valid", "lex_cmp", "lexmax_convergence_probe", "parse_base", "parse_epword",
+    "is_parry_valid", "lexmax_convergence_probe", "parse_base", "parse_epword",
     "parse_system", "parse_word", "quasi_greedy_of", "quasi_to_greedy", "renewal_empirical",
     "renewal_target", "shift", "suffixes_at_most", "verify_counting_identity",
 ]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     bertrand_holds_up_to,
     bertrand_violations,
     count_length,
+    first_violation_by_search,
     letter_bound,
     member_direct,
     members_by_length,
@@ -332,6 +334,50 @@ def test_every_word_gets_the_enumerated_verdict(word):
         assert report.first_violation == (violations[0] if violations else None), max_len
     res = classify_bertrand(NumSys.from_word(word), 5)
     assert (res.case == "not_bertrand") == (not is_parry_valid(word, strict=False))
+
+
+def check_bertrand_matches_search(s: NumSys, max_len: int):
+    report = s.check_bertrand(max_len)
+    assert (report.holds_up_to, report.first_violation) == first_violation_by_search(s, max_len)
+    return report
+
+
+def test_check_bertrand_witness_matches_search_on_short_words():
+    for length in range(1, 7):
+        for letters in itertools.product(range(4), repeat=length):
+            if letters[0] == 0:
+                continue
+            text = "".join(map(str, letters))
+            for spec in (text, f"({text})"):
+                s = parse_system("bertrand:" + spec)
+                for max_len in (length + 3, 2 * length + 3):
+                    check_bertrand_matches_search(s, max_len)
+
+
+def test_check_bertrand_witness_matches_search_on_random_recurrences():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(4000):
+        order = rng.randint(1, 3)
+        initial = [1]
+        for _ in range(order - 1):
+            initial.append(initial[-1] + rng.randint(1, 4))
+        args = initial, [rng.randint(0, 3) for _ in range(order)], rng.randint(0, 1)
+        try:
+            report = check_bertrand_matches_search(NumSys.from_recurrence(*args), 12)
+        except NumerationError as exc:
+            with pytest.raises(NumerationError, match=re.escape(str(exc))):
+                first_violation_by_search(NumSys.from_recurrence(*args), 12)
+            continue
+        kinds.add(report.first_violation and report.first_violation.kind)
+    assert kinds == {None, "prolongability", "prefix-closure"}
+
+
+def test_check_bertrand_finds_a_long_witness():
+    # a witness of length 102, past the lengths bertrand_violations can list
+    report = check_bertrand_matches_search(parse_system("bertrand:" + "21" * 50 + "22"), 105)
+    assert report.holds_up_to == 101
+    assert report.first_violation == Violation((2, 2) + (0,) * 100, "prefix-closure")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bertrandnum import (
     EPWord,
@@ -10,16 +11,15 @@ from bertrandnum import (
     format_epword,
     format_word,
     is_parry_valid,
-    lex_cmp,
     parse_epword,
     parse_word,
     quasi_to_greedy,
     shift,
     suffixes_at_most,
 )
-from bertrandnum.words import least_word_above
+from bertrandnum.words import walk
 
-from oracles import greatest_word
+from oracles import greatest_word, least_word_above, lex_cmp, shift_dominated
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: compare digit streams position by position
@@ -81,7 +81,7 @@ def test_digit_and_prefix():
 
 
 # ---------------------------------------------------------------------------
-# lexicographic comparison
+# lexicographic comparison (the reference order of tests/oracles.py)
 
 
 def test_lex_finite_first_differing_letter():
@@ -182,6 +182,62 @@ def test_parry_valid_agrees_with_depth50_oracle():
     for w in small_epwords():
         for strict in (False, True):
             assert is_parry_valid(w, strict) == brute_parry_valid(w, strict), (w, strict)
+
+
+def long_near_dominated_words(count, seed=0):
+    """Words with m + n up to 400: a preperiod and a period made of
+    copies of the greatest rotation r of a random word, which alone would
+    be shift-dominated, with one letter of the period (and sometimes one
+    of the preperiod) moved by one, often the last letter of the first r.
+    A shift and the word can then first differ hundreds of letters in."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+        r = max(tuple(base[i:] + base[:i]) for i in range(len(base)))
+        per = list(r * rng.randint(60 // len(r), 300 // len(r)))
+        pre = list(r * rng.randint(0, 100 // len(r)))
+        for part in (per, pre) if pre and rng.random() < 0.5 else (per,):
+            i = rng.choice((rng.randrange(len(part)), len(r) - 1))
+            part[i] = max(part[i] + rng.choice((-1, 1)), 0)
+        yield epword(pre, per)
+
+
+def test_parry_valid_agrees_with_shift_comparisons_on_long_words():
+    # the words the depth-50 oracle gets wrong must be among them
+    long_verdicts, beyond_depth_50 = set(), 0
+    for w in long_near_dominated_words(120):
+        for strict in (False, True):
+            got = is_parry_valid(w, strict)
+            assert got == shift_dominated(w, strict), (w, strict)
+            if len(w.pre) + len(w.per) > 50:
+                long_verdicts.add(got)
+            beyond_depth_50 += got != brute_parry_valid(w, strict)
+    assert long_verdicts == {False, True} and beyond_depth_50 > 0
+
+
+@st.composite
+def dominated_words_and_words(draw):
+    """The first 30 letters a of a shift-dominated word, and a word w of
+    at most 30 letters made of prefixes of a, each with its last letter
+    moved by at most one."""
+    pre = draw(st.lists(st.integers(0, 3), max_size=4))
+    per = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    d = epword(pre, per)
+    assume(shift_dominated(d, strict=False))
+    a = d.prefix(30)
+    w, length = (), draw(st.integers(0, 30))
+    while len(w) < length:
+        j = draw(st.integers(1, 30))
+        last = max(a[j - 1] + draw(st.integers(-1, 1)), 0)
+        w += a[: j - 1] + (last,)
+    return a, w[:30]
+
+
+@given(dominated_words_and_words())
+def test_walk_accepts_exactly_the_suffix_criterion(case):
+    a, w = case
+    accepted = len(walk(a, w)) == len(w) + 1
+    assert accepted == suffixes_at_most(w, lambda j: a[:j])
 
 
 # ---------------------------------------------------------------------------
