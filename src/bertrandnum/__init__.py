@@ -29,7 +29,6 @@ _LAYERS = {
         "parse_epword",
         "parse_word",
         "quasi_to_greedy",
-        "shift",
         "suffixes_at_most",
     ),
     "realbase": (

@@ -15,15 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import realbase
 from .errors import NumerationError
 from .numsys import NumSys, Violation
 from .realbase import RealBase, base_from_expansion, generating_word
 from .words import EPWord, epword, quasi_to_greedy
-
-# the recurrence polynomial of a generating word lives next to
-# expansion_polynomial; it stays public here as bertrand.char_poly
-char_poly = realbase.char_poly
 
 
 def build_bertrand(base: RealBase, variant: str) -> NumSys:
@@ -48,7 +43,7 @@ class ClassifyResult:
     "not_bertrand" (with the first violating word as witness).  Every
     verdict is exact: `word` is the generating word of U, read until it
     repeats or fails, and does not depend on `probe_len`, the length
-    through which the values of U were checked.
+    through which the values of U are checked when the word fails.
     """
 
     case: str
@@ -64,9 +59,10 @@ def classify_bertrand(s: NumSys, probe_len: int) -> ClassifyResult:
 
     The generating word of U decides it (NumSys.scan_generating_word).
     A system that is not Bertrand gets the first violation of
-    check_bertrand at the length where the word fails.  The values of U
-    through probe_len + 1 are checked first, so bad values there are
-    rejected.
+    check_bertrand at the length where the word fails, and its values of
+    U through probe_len + 1 are checked, so bad values there are
+    rejected.  A word that passes leaves only U(1) to check
+    (check_bertrand, part 4), so a Case verdict builds no other value.
 
     A Case 1, 2 or 3 verdict does not depend on probe_len: U is then the
     system of its own generating word, whose values always increase.  A
@@ -80,11 +76,12 @@ def classify_bertrand(s: NumSys, probe_len: int) -> ClassifyResult:
     """
     if probe_len < 2:
         raise NumerationError("probe_len must be >= 2")
-    s.u(probe_len + 1)
     word, fails_at = s.scan_generating_word()
     if word is None:
-        witness = s.check_bertrand(fails_at - 1).first_violation
+        # checks the values through probe_len + 1 and finds the witness
+        witness = s.check_bertrand(max(probe_len, fails_at - 1)).first_violation
         return ClassifyResult("not_bertrand", None, None, probe_len, witness)
+    s.u(1)  # the only value a passing scan leaves to check (check_bertrand, part 4)
     if word == epword((1,), (0,)):
         return ClassifyResult("case1", None, word, probe_len)
     if word.purely_periodic:

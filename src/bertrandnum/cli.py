@@ -377,10 +377,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--probe",
         type=int,
         default=12,
-        help="check the values of U through PROBE + 1 (>= 2); a Case verdict does not depend "
-        "on it, but a recurrence whose values stop increasing beyond PROBE + 1 is 'not "
-        "Bertrand' at a small PROBE and an error at a larger one (no finite check rules "
-        "that out: it is the Positivity Problem)",
+        help="when the generating word fails, check the values of U through PROBE + 1 (>= 2); "
+        "a Case verdict builds only U(1) and does not depend on it, but a recurrence whose "
+        "values stop increasing beyond PROBE + 1 is 'not Bertrand' at a small PROBE and an "
+        "error at a larger one (no finite check rules that out: it is the Positivity Problem)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)

@@ -260,15 +260,24 @@ class NumSys:
         violation of length k + 1 exists; then the least member above
         N_k is at most M_k < c.  So first_violation is the smaller of the
         two, with 0 appended.
+
+        (4) Values are built only where the scan fails.  If it passes
+        a_1..a_n and U(1) > U(0), then for j <= n, inductively,
+        U(j) = a_1 U(j-1) + val(a_2..a_j) + 1 with a_1 = U(1) - 1 >= 1, so
+        U(j) > U(j-1); by (1) a_2..a_j is a member of length j - 1, so
+        val(a_2..a_j) < U(j-1) and ceil(U(j)/U(j-1)) - 1 <= a_1 =
+        ceil(U(1)/U(0)) - 1.  Neither the increasing check nor a declared
+        alphabet bound can fail past U(1).
         """
         if max_len < 1:
             raise NumerationError("max_len must be >= 1")
+        _, fails_at = self.scan_generating_word(max_len + 1)
+        if fails_at is None:
+            self.u(1)  # by (4), the only value that can still break
+            return BertrandReport(max_len, max_len, None)
         # a system whose values break anywhere up to max_len + 1 is
         # rejected, whatever length its first violation has
         self.u(max_len + 1)
-        _, fails_at = self.scan_generating_word(max_len + 1)
-        if fails_at is None:
-            return BertrandReport(max_len, max_len, None)
         k = fails_at - 1
         m, n = self.lex_max(k), self.lex_max(k + 1)[:k]  # M_k = a_1..a_k, N_k
         prolonged, closed = _least_above(n, m, 0), _least_above(m, m, 1)

@@ -98,7 +98,9 @@ def _divmod_frac(p, q):
     return tuple(quot), tuple(r)
 
 
-def _clear_denominators(p) -> IntPoly:
+def primitive(p) -> IntPoly:
+    """Clear the denominators, divide out the integer content and make the
+    leading coefficient positive."""
     if not p:
         return ()
     from math import gcd as igcd, lcm as ilcm
@@ -117,11 +119,6 @@ def _clear_denominators(p) -> IntPoly:
     return poly(ints)
 
 
-def primitive(p: IntPoly) -> IntPoly:
-    """Divide out the integer content; make the leading coefficient positive."""
-    return _clear_denominators(p)
-
-
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd over Q, with positive leading coefficient."""
     a = tuple(Fraction(c) for c in p)
@@ -129,14 +126,14 @@ def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     while b and any(b):
         _, r = _divmod_frac(a, b)
         a, b = b, r
-    return _clear_denominators(a)
+    return primitive(a)
 
 
 def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     quot, rem = _divmod_frac(p, q)
     if rem:
         raise NumerationError("polynomial division was not exact")
-    return _clear_denominators(quot)
+    return primitive(quot)
 
 
 def divides(p: IntPoly, q: IntPoly) -> bool:

@@ -192,14 +192,6 @@ class RealBase:
         text = ",".join(str(c) for c in pl.high_first(p))
         return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
 
-    @classmethod
-    def from_parry_word(cls, word: EPWord | str) -> "RealBase":
-        if isinstance(word, str):
-            word = parse_epword(word)
-        base = base_from_expansion(word)
-        base.source = f"parry:{format_epword(word)}"
-        return base
-
     # -- enclosure -------------------------------------------------------------
 
     def enclosure(self, width=None) -> Interval:
@@ -529,5 +521,8 @@ def parse_base(text: str) -> RealBase:
             raise NumerationError(f"bad isolating interval in {text!r}") from None
         return RealBase.algebraic(coeffs, (lo, hi))
     if text.startswith("parry:"):
-        return RealBase.from_parry_word(text[6:])
+        word = parse_epword(text[6:])
+        base = base_from_expansion(word)
+        base.source = f"parry:{format_epword(word)}"
+        return base
     raise NumerationError(f"unknown base syntax: {text!r}")

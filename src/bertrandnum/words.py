@@ -126,11 +126,6 @@ def _as_epword(w) -> EPWord:
     return w if isinstance(w, EPWord) else EPWord(tuple(w), (0,))
 
 
-def shift(w: EPWord, i: int) -> EPWord:
-    """The word with its first i letters removed, in canonical form."""
-    return _as_epword(w).shift(i)
-
-
 def walk_step(a, q: int, x: int) -> int | None:
     """One step of Parry's automaton for the prefixes of a: in state q
     the walk has matched a[:q]; a letter above a[q] stops it (None), the

@@ -196,6 +196,20 @@ def test_classify_zeckendorf(zeckendorf):
     assert res.base.poly == (-1, -1, 1)
 
 
+def test_a_passing_scan_builds_no_values_past_u1(monkeypatch):
+    # the zeckendorf word passes the scan, which leaves only U(1) to check,
+    # so a length of three million builds no value (U(3000001) has about
+    # two million bits, and the values through it O(N^2) bits)
+    extended = []
+    extend = NumSys._extend
+    monkeypatch.setattr(NumSys, "_extend", lambda self: extended.append(1) or extend(self))
+    res = classify_bertrand(load_system("zeckendorf"), 3_000_000)
+    assert (res.case, res.word, res.base.poly) == ("case2", epword((), (1, 0)), (-1, -1, 1))
+    report = load_system("zeckendorf").check_bertrand(3_000_000)
+    assert (report.holds_up_to, report.first_violation) == (3_000_000, None)
+    assert len(extended) <= 2
+
+
 def test_classify_base3_noncanonical():
     s = NumSys.from_recurrence([1], [3], 1, 3)
     res = classify_bertrand(s, 9)

@@ -214,6 +214,20 @@ def test_check_bertrand_rejects_a_contradicted_alphabet(capsys, tmp_path):
     assert err == "error: declared alphabet bound 1 contradicted at U(3)/U(2)"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--probe", "2"], ["check-bertrand", "--max-len", "1"]],
+    ids=["classify", "check-bertrand"],
+)
+def test_a_passing_scan_still_checks_u1_against_the_alphabet(capsys, tmp_path, argv):
+    # U = 1, 2, 4, ...: its generating word (1) passes the scan, and U(1)
+    # is the one value left to check against the declared bound
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1], "recurrence": {"coeffs": [2]}, "alphabet_max": 0}))
+    code, out, err = run(capsys, argv[0], "--system", str(path), *argv[1:])
+    assert (code, out, err) == (1, "", "error: declared alphabet bound 0 contradicted at U(1)/U(0)")
+
+
 def test_classify(capsys):
     system = str(FIXTURES / "zeckendorf.json")
     code, out, _ = run(capsys, "classify", "--system", system, "--probe", "9")

@@ -78,7 +78,7 @@ PUBLIC_NAMES = [
     "epword", "expansion_polynomial", "format_epword", "format_word", "generating_word",
     "is_parry_valid", "lexmax_convergence_probe", "parse_base", "parse_epword",
     "parse_system", "parse_word", "quasi_greedy_of", "quasi_to_greedy", "renewal_empirical",
-    "renewal_target", "shift", "suffixes_at_most", "verify_counting_identity",
+    "renewal_target", "suffixes_at_most", "verify_counting_identity",
 ]
 # every layer but the CLI, which the package never imported
 LAYER_MODULES = [m for m in LAYERS if m != "cli"]

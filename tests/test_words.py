@@ -14,7 +14,6 @@ from bertrandnum import (
     parse_epword,
     parse_word,
     quasi_to_greedy,
-    shift,
     suffixes_at_most,
 )
 from bertrandnum.words import walk
@@ -146,15 +145,15 @@ def test_lex_total_order(u, v, w):
 
 
 def test_shift_examples():
-    assert shift(epword((1, 1), (0,)), 1) == epword((1,), (0,))
-    assert shift(epword((), (1, 0)), 2) == epword((), (1, 0))
-    assert shift(epword((2,), (1,)), 1) == epword((), (1,))
+    assert epword((1, 1), (0,)).shift(1) == epword((1,), (0,))
+    assert epword((), (1, 0)).shift(2) == epword((), (1, 0))
+    assert epword((2,), (1,)).shift(1) == epword((), (1,))
 
 
 def test_shift_matches_digit_streams():
     for w in small_epwords(max_total=4):
         for i in range(8):
-            assert shift(w, i).prefix(20) == tuple(w.digit(i + j) for j in range(20))
+            assert w.shift(i).prefix(20) == tuple(w.digit(i + j) for j in range(20))
 
 
 # ---------------------------------------------------------------------------
