@@ -12,6 +12,8 @@ without any of them, and each command imports what it runs.
 """
 
 VARIANTS = ("canonical", "noncanonical")
+# digits of the expansion of 1 read before a base is called unresolved
+DEFAULT_DEPTH = 64
 
 __version__ = "0.1.0"
 

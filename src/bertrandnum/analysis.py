@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import DEFAULT_DEPTH
 from .automata import Dfa
 from .errors import NumerationError
 from .intervals import Interval
 from .numsys import NumSys
-from .realbase import DEFAULT_DEPTH, RealBase, generating_word, quasi_greedy_of
+from .realbase import RealBase, generating_word, quasi_greedy_of
 
 _MAX_REFINEMENTS = 512
 _TARGET_WIDTH = Fraction(1, 10**8)  # renewal_target

@@ -15,12 +15,13 @@ accepted word of every length is a prefix of a different infinite word
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import NumerationError
 from .realbase import RealBase, generating_word, quasi_greedy_of
-from .words import DigitWord
+from .words import DigitWord, walk_step
 
 
 @dataclass
@@ -37,10 +38,6 @@ class Dfa:
                 raise NumerationError(f"transition ({q},{c})->{t} out of range")
             if c < 0:
                 raise NumerationError("digits must be nonnegative")
-
-    @property
-    def alphabet(self) -> tuple:
-        return tuple(sorted({c for (_, c) in self.transitions}))
 
     def accepts(self, w: DigitWord) -> bool:
         q = self.initial
@@ -97,20 +94,6 @@ class Dfa:
             "edges": sorted([q, c, t] for (q, c), t in self.transitions.items()),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Dfa":
-        try:
-            initial = int(data["initial"])
-            finals = frozenset(int(q) for q in data["finals"])
-            edges = [(int(q), int(c), int(t)) for q, c, t in data["edges"]]
-        except (KeyError, TypeError, ValueError):
-            raise NumerationError(f"bad DFA JSON: {data!r}") from None
-        num = max(
-            [initial] + [q for q in finals] + [q for q, _, t in edges] + [t for _, _, t in edges],
-            default=0,
-        ) + 1
-        return cls(num, initial, {(q, c): t for q, c, t in edges}, finals)
-
     def to_dot(self) -> str:
         """Graphviz source with a stable BFS state ordering."""
         d = self.canonical()
@@ -157,26 +140,29 @@ def build_shift_dfa(base: RealBase, variant: str) -> Dfa:
     because a quasi-greedy word never ends in zeros.  Every state is
     reachable and accepts the empty word, so by (1)-(3) no two states
     are equivalent and none is dead: the automaton is minimal.
+
+    Construction.  The spine edges are the steps of Parry's walk against
+    d*_1..d*_{m+n} (words.walk_step), with the step off the end of the
+    spine going to state m.  The extra state of the non-canonical shift
+    hangs off the last spine state: a greedy word t_1..t_n has the
+    quasi-greedy word (t_1..t_{n-1}(t_n - 1))^w with that period
+    primitive, so m = 0, the spine has n states, the last one is reached
+    by t_1..t_{n-1}, and its letter t_n = d*_n + 1 has no spine edge.
     """
     word = generating_word(base, variant)
     dstar = quasi_greedy_of(word)  # the identity on a quasi-greedy word
-    m, n = len(dstar.pre), len(dstar.per)
-    size = m + n
-    digits = dstar.pre + dstar.per
+    m = len(dstar.pre)
+    spine = dstar.pre + dstar.per
+    size = len(spine)
     trans = {}
-    for i in range(size):
-        upper = i + 1 if i + 1 < size else m
-        trans[(i, digits[i])] = upper
-        for c in range(digits[i]):
-            trans[(i, c)] = 0
+    for q in range(size):
+        for c in itertools.count():
+            t = walk_step(spine, q, c)
+            if t is None:
+                break
+            trans[(q, c)] = m if t == size else t
     if variant == "noncanonical" and word.zero_tail:
-        t = word.support
-        q = 0
-        for c in t[:-1]:
-            q = trans[(q, c)]
-        if (q, t[-1]) in trans:
-            raise NumerationError("construction clash; expansion is not greedy")
-        trans[(q, t[-1])] = size
+        trans[(size - 1, word.support[-1])] = size
         trans[(size, 0)] = size
         size += 1
     return Dfa(size, 0, trans, frozenset(range(size)))

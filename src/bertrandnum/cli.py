@@ -15,16 +15,8 @@ import argparse
 import json
 import sys
 
-from . import VARIANTS
+from . import DEFAULT_DEPTH, VARIANTS
 from .errors import NumerationError
-
-
-def _word_or_prefix(result) -> str:
-    from .words import EPWord, format_epword, format_word
-
-    if isinstance(result, EPWord):
-        return format_epword(result)
-    return format_word(result)
 
 
 def _interval_json(iv) -> dict:
@@ -51,29 +43,28 @@ def _base_json(base) -> dict:
     return out
 
 
-def cmd_dbeta(args) -> int:
-    from .realbase import parse_base
+def _write_file(path: str, text: str):
+    """Write an output file; a path that cannot be written is a domain error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise NumerationError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
-    base = parse_base(args.base)
-    cls = base.parry_class(args.depth)
-    word = _word_or_prefix(cls.word)
+
+def cmd_expansion(args) -> int:
+    """dbeta prints the greedy expansion of 1 and its class; dstar the
+    quasi-greedy one, with the class only while it is unresolved."""
+    from .realbase import parse_base
+    from .words import format_word
+
+    cls = parse_base(args.base).parry_class(args.depth)
+    greedy = args.command == "dbeta"
+    word = format_word(cls.word if greedy else cls.quasi_greedy)
     if args.json:
         print(json.dumps({"word": word, "resolved": cls.resolved, "class": cls.describe()}))
     else:
-        print(f"{word} [{cls.describe()}]")
-    return 0
-
-
-def cmd_dstar(args) -> int:
-    from .realbase import parse_base
-
-    base = parse_base(args.base)
-    cls = base.parry_class(args.depth)
-    word = _word_or_prefix(cls.quasi_greedy)
-    if args.json:
-        print(json.dumps({"word": word, "resolved": cls.resolved, "class": cls.describe()}))
-    else:
-        note = "" if cls.resolved else f" [{cls.describe()}]"
+        note = f" [{cls.describe()}]" if greedy or not cls.resolved else ""
         print(f"{word}{note}")
     return 0
 
@@ -108,9 +99,7 @@ def cmd_build(args) -> int:
     s = build_bertrand(base, args.variant)
     values = s.values(args.count)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(s.to_json(), fh)
-            fh.write("\n")
+        _write_file(args.json, json.dumps(s.to_json()) + "\n")
     print(" ".join(str(v) for v in values))
     if _coincides(base, args.variant):
         print(
@@ -241,8 +230,7 @@ def cmd_automaton(args) -> int:
     base = parse_base(args.beta)
     dfa = build_shift_dfa(base, args.variant)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dfa.to_dot())
+        _write_file(args.dot, dfa.to_dot())
     if args.json:
         print(json.dumps(dfa.to_json()))
     else:
@@ -296,11 +284,11 @@ def cmd_analyze(args) -> int:
             "limit": rep.limit,
         }
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("i,ratio,empirical_lo,empirical_hi\n")
-            for i, r in enumerate(ratios):
-                e = empirical[i + 1] if i + 1 < len(empirical) else empirical[-1]
-                fh.write(f"{i},{float(r)},{float(e.lo)},{float(e.hi)}\n")
+        rows = ["i,ratio,empirical_lo,empirical_hi\n"]
+        for i, r in enumerate(ratios):
+            e = empirical[i + 1] if i + 1 < len(empirical) else empirical[-1]
+            rows.append(f"{i},{float(r)},{float(e.lo)},{float(e.hi)}\n")
+        _write_file(args.csv, "".join(rows))
     if args.json:
         print(json.dumps(out))
     else:
@@ -326,17 +314,15 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dbeta", help="greedy expansion of 1 in a real base")
-    p.add_argument("--base", required=True)
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dbeta)
-
-    p = sub.add_parser("dstar", help="quasi-greedy expansion of 1")
-    p.add_argument("--base", required=True)
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dstar)
+    for name, text in (
+        ("dbeta", "greedy expansion of 1 in a real base"),
+        ("dstar", "quasi-greedy expansion of 1"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--base", required=True)
+        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_expansion)
 
     p = sub.add_parser("beta-of", help="recover the base from an expansion of 1")
     p.add_argument("--word", required=True)

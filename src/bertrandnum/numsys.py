@@ -87,21 +87,31 @@ class NumSys:
     """
 
     def __init__(self, generator, alphabet_max: int | None = None):
-        self.generator = generator
-        self._alphabet_max = alphabet_max
+        """Each number of a Recurrence and the alphabet bound must be an
+        integer (a bool or a float is not one), the initial values and
+        coefficients lists or tuples of them; a BertrandRule's word must
+        start with a nonzero letter."""
         if isinstance(generator, Recurrence):
-            init = [int(v) for v in generator.initial]
-            if not init or init[0] != 1:
-                raise NumerationError("U(0) must equal 1")
-            if len(init) < len(generator.coeffs):
-                raise NumerationError(
-                    "initial values must cover the recurrence order"
-                )
-            self._u = init
+            g = generator
+            generator = Recurrence(
+                _integers(g.initial, "initial"), _integers(g.coeffs, "coeffs"), _integer(g.addend, "addend")
+            )
+            init = list(generator.initial)
         elif isinstance(generator, BertrandRule):
-            self._u = [1]
+            if generator.word.digit(0) < 1:
+                raise NumerationError("the generating word must start with a nonzero digit")
+            init = [1]
         else:
             raise NumerationError(f"unknown generator {generator!r}")
+        if alphabet_max is not None:
+            _integer(alphabet_max, "alphabet_max")
+        if not init or init[0] != 1:
+            raise NumerationError("U(0) must equal 1")
+        if isinstance(generator, Recurrence) and len(init) < len(generator.coeffs):
+            raise NumerationError("initial values must cover the recurrence order")
+        self.generator = generator
+        self._alphabet_max = alphabet_max
+        self._u = init
         self._lexmax: dict[int, tuple] = {}
         for i in range(1, len(self._u)):
             self._check_materialized(i)
@@ -110,22 +120,11 @@ class NumSys:
 
     @classmethod
     def from_recurrence(cls, initial, coeffs, addend: int = 0, alphabet_max=None):
-        """Each number must be an integer (a bool or a float is not one),
-        and initial and coeffs lists or tuples of them."""
-        return cls(
-            Recurrence(
-                _integers(initial, "initial"), _integers(coeffs, "coeffs"), _integer(addend, "addend")
-            ),
-            None if alphabet_max is None else _integer(alphabet_max, "alphabet_max"),
-        )
+        return cls(Recurrence(initial, coeffs, addend), alphabet_max)
 
     @classmethod
     def from_word(cls, word: EPWord | str):
-        if isinstance(word, str):
-            word = parse_epword(word)
-        if word.digit(0) < 1:
-            raise NumerationError("the generating word must start with a nonzero digit")
-        return cls(BertrandRule(word))
+        return cls(BertrandRule(parse_epword(word) if isinstance(word, str) else word))
 
     # -- values ---------------------------------------------------------------
 

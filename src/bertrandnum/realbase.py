@@ -42,20 +42,20 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import VARIANTS
+from . import DEFAULT_DEPTH, VARIANTS
 from . import polynomials as pl
 from .errors import NumerationError, RefinementBudgetError, UnresolvedBaseError
 from .intervals import Interval
 from .words import (
     DigitWord,
     EPWord,
+    _as_epword,
     epword,
     format_epword,
     is_parry_valid,
     parse_epword,
 )
 
-DEFAULT_DEPTH = 64
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
 
 # The key of a remainder in the repeat index.  Only a hint: equal keys are
@@ -415,8 +415,7 @@ def base_from_expansion(d: EPWord) -> RealBase:
     (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
     That polynomial has exactly one root > 1, which is beta.
     """
-    if not isinstance(d, EPWord):
-        d = epword(tuple(d), (0,))
+    d = _as_epword(d)
     if d.digit(0) < 1:
         raise NumerationError(f"expansion must start with a nonzero digit: {d}")
     if d == epword((1,), (0,)):
@@ -465,8 +464,7 @@ def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
     A word whose first letter is 0 generates no system and is rejected.
     """
     _check_variant(variant)
-    if not isinstance(word, EPWord):
-        word = epword(tuple(word), (0,))
+    word = _as_epword(word)
     if word.digit(0) < 1:
         raise NumerationError("the generating word must start with a nonzero digit")
     p = expansion_polynomial(word)

@@ -5,10 +5,13 @@ periodic infinite words pair a finite preperiod with a repeating period
 (:class:`EPWord`) and are normalized so that structural equality
 coincides with equality of the underlying infinite sequences.
 
-Text syntax (used by the CLI and JSON formats): digits are written as
-bare characters when every digit is at most 9, e.g. ``"110"`` for the
-finite word 1.1.0 and ``"11(0)"`` for preperiod 11 followed by 0
-forever; larger digits use bracketed lists, e.g. ``"[10,0,1]([2])"``.
+Text syntax (used by the CLI and JSON formats): the letters, then for an
+infinite word its period in parentheses.  Each of the two groups of
+letters is either bare digits or a bracketed list of integers:
+``"110"`` is the finite word 1.1.0, ``"11(0)"`` is preperiod 11 followed
+by 0 forever, and ``"[10,0,1]([2])"``, ``"[10](0)"`` and ``"1([10])"``
+have letters above 9.  The printers use bare digits unless a letter is
+above 9, and then bracket both groups.
 """
 
 from __future__ import annotations
@@ -211,65 +214,66 @@ def quasi_to_greedy(a: EPWord) -> EPWord:
 
 # -- text syntax -------------------------------------------------------------
 
-_COMPACT_EP = re.compile(r"^(\d*)(?:\((\d+)\))?$")
-_BRACKET_EP = re.compile(r"^(\[[^\[\]]*\])?(?:\((\[[^\[\]]*\])\))?$")
+# letters, then an optional nonempty period in parentheses; each group of
+# letters is bare digits or a bracketed list of integers
+_WORD_TEXT = re.compile(r"(\d*|\[[^\[\]]*\])(?:\((\d+|\[[^\[\]]*\])\))?")
 
 
-def _parse_bracket_list(text: str) -> tuple:
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return digit_word(int(t) for t in inner.split(","))
+def _read_letters(group: str, text: str) -> DigitWord:
+    if not group.startswith("["):
+        return digit_word(int(c) for c in group)
+    inner = group[1:-1]
+    try:
+        letters = [int(t) for t in inner.split(",")] if inner.strip() else []
+    except ValueError:
+        raise WordError(f"bad word syntax: {text!r}") from None
+    return digit_word(letters)
+
+
+def _read_word_text(text: str) -> tuple:
+    """The letters before the period, and those of the period or None."""
+    m = _WORD_TEXT.fullmatch(text)
+    if not m:
+        raise WordError(f"bad word syntax: {text!r}")
+    pre, per = m.groups()
+    return _read_letters(pre, text), None if per is None else _read_letters(per, text)
 
 
 def parse_word(text: str) -> DigitWord:
     """Parse a finite digit word ("110", "[10,0,1]", or "ε" for empty)."""
     text = text.strip()
-    if text in ("", "ε", "eps"):
+    if text in ("ε", "eps"):
         return ()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise WordError(f"bad word syntax: {text!r}")
-        return _parse_bracket_list(text)
-    if not text.isdigit():
+    pre, per = _read_word_text(text)
+    if per is not None:
         raise WordError(f"bad word syntax: {text!r}")
-    return digit_word(int(c) for c in text)
+    return pre
 
 
 def parse_epword(text: str) -> EPWord:
-    """Parse an eventually periodic word ("11(0)", "(10)", "[10]([2])").
-
-    A plain finite word like "110" denotes that word followed by zeros.
-    """
-    text = text.strip()
-    if text.startswith("["):
-        m = _BRACKET_EP.match(text)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise WordError(f"bad word syntax: {text!r}")
-        pre = _parse_bracket_list(m.group(1)) if m.group(1) else ()
-        per = _parse_bracket_list(m.group(2)) if m.group(2) else (0,)
-        return EPWord(pre, per)
-    m = _COMPACT_EP.match(text)
-    if not m:
-        raise WordError(f"bad word syntax: {text!r}")
-    pre = digit_word(int(c) for c in m.group(1))
-    per = digit_word(int(c) for c in m.group(2)) if m.group(2) else (0,)
-    return EPWord(pre, per)
+    """Parse an eventually periodic word ("11(0)", "(10)", "[10]([2])",
+    "1([10])").  A plain finite word like "110" denotes that word
+    followed by zeros."""
+    pre, per = _read_word_text(text.strip())
+    return EPWord(pre, (0,) if per is None else per)
 
 
-def format_word(w: DigitWord) -> str:
-    if not w:
-        return "ε"
-    if max(w) <= 9:
-        return "".join(str(d) for d in w)
-    return "[" + ",".join(str(d) for d in w) + "]"
+def _letters_text(w: tuple, bracketed: bool) -> str:
+    if bracketed:
+        return "[" + ",".join(str(d) for d in w) + "]"
+    return "".join(str(d) for d in w)
+
+
+def format_word(w) -> str:
+    """A finite word as text ("ε" when empty); an EPWord as format_epword."""
+    if isinstance(w, EPWord):
+        return format_epword(w)
+    return _letters_text(w, max(w) > 9) if w else "ε"
 
 
 def format_epword(w: EPWord) -> str:
-    if max(w.max_digit, 0) <= 9:
-        pre = "".join(str(d) for d in w.pre)
-        per = "".join(str(d) for d in w.per)
-        return f"{pre}({per})"
-    pre = "[" + ",".join(str(d) for d in w.pre) + "]" if w.pre else ""
-    per = "[" + ",".join(str(d) for d in w.per) + "]"
-    return f"{pre}({per})"
+    """The period always in parentheses; when any letter is above 9, both
+    parts as bracketed lists: "[10]([0])"."""
+    big = w.max_digit > 9
+    pre = _letters_text(w.pre, big) if w.pre else ""
+    return f"{pre}({_letters_text(w.per, big)})"

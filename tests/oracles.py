@@ -20,6 +20,8 @@ from bertrandnum import (
     WordError,
     epword,
     expansion_polynomial,
+    generating_word,
+    quasi_greedy_of,
     suffixes_at_most,
 )
 from bertrandnum import polynomials as pl
@@ -335,10 +337,15 @@ class EquivReport:
         return self.first_disagreement is None
 
 
+def dfa_alphabet(dfa: Dfa) -> tuple:
+    """The letters on the edges of an automaton, ascending."""
+    return tuple(sorted({c for (_, c) in dfa.transitions}))
+
+
 def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:
     """Exhaustively compare DFA acceptance with the numeration language,
     level by level, for all words up to max_len over the union alphabet."""
-    alphabet = sorted(set(dfa.alphabet) | set(range(letter_bound(s, max_len) + 1)))
+    alphabet = sorted(set(dfa_alphabet(dfa)) | set(range(letter_bound(s, max_len) + 1)))
     levels = members_by_length(s, max_len)
     # survivors of the DFA walk, word -> state
     walk = {(): dfa.initial}
@@ -360,7 +367,7 @@ def minimized(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal DFA by Moore's partition refinement,
     keeping the partial-transition convention (no explicit sink in the
     result), in canonical form."""
-    alphabet = dfa.alphabet
+    alphabet = dfa_alphabet(dfa)
     sink = dfa.num_states
     states = range(dfa.num_states + 1)
 
@@ -406,6 +413,34 @@ def minimized(dfa: Dfa) -> Dfa:
         if q in reach_final and t in reach_final
     }
     return Dfa(len(classes), init, trans, finals).canonical()
+
+
+def shift_dfa_reference(base: RealBase, variant: str) -> Dfa:
+    """The shift automaton as first built: each spine edge compares the
+    letter with the spine digit, and the non-canonical extra state hangs
+    off the state the walk of t_1..t_{n-1} reaches."""
+    word = generating_word(base, variant)
+    dstar = quasi_greedy_of(word)
+    m, n = len(dstar.pre), len(dstar.per)
+    size = m + n
+    digits = dstar.pre + dstar.per
+    trans = {}
+    for i in range(size):
+        upper = i + 1 if i + 1 < size else m
+        trans[(i, digits[i])] = upper
+        for c in range(digits[i]):
+            trans[(i, c)] = 0
+    if variant == "noncanonical" and word.zero_tail:
+        t = word.support
+        q = 0
+        for c in t[:-1]:
+            q = trans[(q, c)]
+        if (q, t[-1]) in trans:
+            raise NumerationError("construction clash; expansion is not greedy")
+        trans[(q, t[-1])] = size
+        trans[(size, 0)] = size
+        size += 1
+    return Dfa(size, 0, trans, frozenset(range(size)))
 
 
 def shift_member(base: RealBase, w: DigitWord, variant: str) -> bool:

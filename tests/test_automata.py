@@ -6,13 +6,16 @@ import pytest
 from bertrandnum import (
     Dfa,
     RealBase,
+    base_from_expansion,
     build_bertrand,
     build_shift_dfa,
+    epword,
+    is_parry_valid,
 )
 from bertrandnum.cli import main
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import dfa_equiv_language, isomorphic_to, minimized
+from oracles import dfa_alphabet, dfa_equiv_language, isomorphic_to, minimized, shift_dfa_reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -61,6 +64,28 @@ def test_nonsimple_base_noncanonical_coincides(phi2, capsys):
     assert main(["automaton", "--beta", phi2.source, "--variant", "noncanonical"]) == 0
     assert capsys.readouterr().out.rstrip("\n").endswith("(coincides with canonical)")
     assert isomorphic_to(a, b)
+
+
+def greedy_words(max_len=4, top=3):
+    """Every eventually periodic greedy expansion of 1 with preperiod and
+    period of total length at most max_len over 0..top, 10^w excluded."""
+    found = set()
+    for total in range(1, max_len + 1):
+        for letters in itertools.product(range(top + 1), repeat=total):
+            for cut in range(total):
+                w = epword(letters[:cut], letters[cut:])
+                if w.digit(0) and w != epword((1,)) and is_parry_valid(w, strict=True):
+                    found.add(w)
+    return sorted(found, key=lambda w: (w.pre, w.per))
+
+
+def test_shift_automata_match_the_reference_construction():
+    words = greedy_words()
+    assert any(w.zero_tail for w in words) and any(not w.zero_tail for w in words)
+    for w in words:
+        base = base_from_expansion(w)
+        for variant in ("canonical", "noncanonical"):
+            assert build_shift_dfa(base, variant) == shift_dfa_reference(base, variant), (w, variant)
 
 
 def test_noncanonical_adds_exactly_one_state():
@@ -136,7 +161,7 @@ def test_counts_equal_system_values(base_name, base, variant):
 
 def nerode_classes(dfa, prefix_depth=3, sig_depth=6):
     """Brute-force count of distinct nonempty left quotients of the language."""
-    alphabet = sorted(set(dfa.alphabet) | {0})
+    alphabet = sorted(set(dfa_alphabet(dfa)) | {0})
     sigs = set()
     for n in range(prefix_depth + 1):
         for u in itertools.product(alphabet, repeat=n):
@@ -185,7 +210,7 @@ def test_minimize_preserves_language_and_counts(base, variant):
     assert m.num_states == nerode_classes(a, prefix_depth=4)
     for i in range(13):
         assert m.count_accepted(i) == a.count_accepted(i)
-    alphabet = sorted(set(a.alphabet) | {0})
+    alphabet = sorted(set(dfa_alphabet(a)) | {0})
     top = 8 if len(alphabet) <= 3 else 6
     for n in range(top + 1):
         for w in itertools.product(alphabet, repeat=n):
@@ -225,13 +250,6 @@ def test_equiv_base3_pairs(base3_canonical, base3_noncanonical):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_json_roundtrip():
-    a = fig_2b()
-    again = Dfa.from_json(a.to_json())
-    assert isomorphic_to(again, a)
-    assert again.to_json() == a.to_json()
 
 
 def test_dot_golden_files(phi):

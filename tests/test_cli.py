@@ -407,6 +407,39 @@ ZECKENDORF_ANALYZE = [
 @pytest.mark.parametrize(
     "argv",
     [
+        ["automaton", "--beta", "int:3", "--variant", "canonical", "--dot"],
+        ["build", "--beta", "int:3", "--variant", "canonical", "--json"],
+        [*ZECKENDORF_ANALYZE, "--csv"],
+    ],
+    ids=["automaton-dot", "build-json", "analyze-csv"],
+)
+def test_unwritable_output_path_is_a_domain_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {str(path)!r}: ") and "\n" not in err
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("word", ["[10,x]", "[1,,2]", "1(0)"])
+def test_malformed_word_is_a_domain_error(capsys, word):
+    code, out, err = run(capsys, "member", "--system", "bertrand:11", "--word", word)
+    assert (code, out, err) == (1, "", f"error: bad word syntax: {word!r}")
+
+
+def test_dbeta_and_dstar_read_the_default_depth(capsys):
+    from bertrandnum import DEFAULT_DEPTH
+
+    # a base that is not Parry prints its digit prefix at the depth
+    for cmd in ("dbeta", "dstar"):
+        code, out, _ = run(capsys, cmd, "--base", "rat:3/2")
+        word, note = out.split(" ", 1)
+        assert (code, len(word), note) == (0, DEFAULT_DEPTH, "[not Parry (non-integer rational base)]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["dbeta", "--base", "int:3", "--depth", "0"],
         ["dbeta", "--base", "int:3", "--depth", "-5"],
         ["dstar", "--base", "int:3", "--depth", "0"],

@@ -16,6 +16,7 @@ from bertrandnum import (
     is_parry_valid,
     parse_system,
 )
+from bertrandnum.numsys import BertrandRule, Recurrence
 
 from conftest import FIXTURES, load_system, system_jsons
 from oracles import (
@@ -467,3 +468,25 @@ def test_parse_system_inline_and_path():
 def test_from_word_requires_leading_digit():
     with pytest.raises(NumerationError):
         NumSys.from_word(epword((0, 1), (0,)))
+
+
+@pytest.mark.parametrize(
+    "generator,message",
+    [
+        (Recurrence((1, 2.7), (1, 1)), "initial must be a list of integers"),
+        (Recurrence((1, 2), (1.5,)), "coeffs must be a list of integers"),
+        (Recurrence((1, 2), (1,), True), "addend must be an integer"),
+        (BertrandRule(epword((0, 1))), "must start with a nonzero digit"),
+    ],
+    ids=["float-initial", "float-coeff", "bool-addend", "zero-led-word"],
+)
+def test_raw_constructor_validates(generator, message):
+    with pytest.raises(NumerationError, match=message):
+        NumSys(generator)
+
+
+def test_raw_constructor_validates_the_alphabet_bound():
+    with pytest.raises(NumerationError, match="alphabet_max must be an integer"):
+        NumSys(Recurrence((1, 2), (1, 1)), 2.0)
+    s = NumSys(Recurrence([1, 2], [1, 1]))
+    assert s.generator == Recurrence((1, 2), (1, 1)) and s.values(5) == [1, 2, 3, 5, 8]

@@ -328,3 +328,50 @@ def test_parse_word_bad_syntax():
         parse_word("1a0")
     with pytest.raises(WordError):
         parse_epword("11(")
+    for text in ["1(0)", "(10)", "[1]([2])", "1[2]", "[1", "()", "1()"]:
+        with pytest.raises(WordError):
+            parse_word(text)
+    for text in ["1[2]", "[1", "()", "1()", "(1", "1(0)1", "1(0)(0)", "ε"]:
+        with pytest.raises(WordError):
+            parse_epword(text)
+
+
+def test_mixed_forms():
+    # each group of letters is bare digits or a bracketed list on its own
+    assert parse_epword("[10](0)") == epword((10,), (0,))
+    assert parse_epword("1([10])") == epword((1,), (10,))
+    assert parse_epword("([10])") == epword((), (10,))
+    assert parse_epword("[1,2](34)") == epword((1, 2), (3, 4))
+    assert parse_epword("[]([])") == epword((), (0,))
+    assert parse_word("[]") == parse_word("") == ()
+
+
+@pytest.mark.parametrize("text", ["[10,x]", "[1,,2]", "[1,]", "[,1]", "[1.5]", "[1 2]"])
+def test_malformed_bracket_letters_are_word_errors(text):
+    for parse in (parse_word, parse_epword):
+        with pytest.raises(WordError, match="bad word syntax"):
+            parse(text)
+    with pytest.raises(WordError, match="bad word syntax"):
+        parse_epword(f"1({text})")
+
+
+def test_negative_bracket_letters_are_rejected():
+    for parse in (parse_word, parse_epword):
+        with pytest.raises(WordError, match="nonnegative"):
+            parse("[1,-2]")
+
+
+letters = st.lists(st.integers(0, 120), max_size=6)
+
+
+@given(letters, letters)
+def test_epword_text_round_trip(pre, per):
+    w = epword(pre, per)
+    assert parse_epword(format_epword(w)) == w
+    assert format_word(w) == format_epword(w)
+
+
+@given(letters)
+def test_word_text_round_trip(t):
+    t = tuple(t)
+    assert parse_word(format_word(t)) == t
