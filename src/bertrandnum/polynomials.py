@@ -2,8 +2,8 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Only what the root-isolation and recurrence machinery
-needs lives here: evaluation, arithmetic, gcd, square-free part, Sturm
-counting and a pretty printer.
+needs lives here: evaluation, exact sign tests, arithmetic, gcd,
+square-free part, Sturm counting and a pretty printer.
 """
 
 from __future__ import annotations
@@ -42,7 +42,25 @@ def eval_at(p: IntPoly, x):
     return acc
 
 
+def sign_at_ratio(p: IntPoly, a: int, b: int) -> int:
+    """Sign of p(a/b) for integers a and b > 0, in integers alone.
+
+    b^n p(a/b) = sum p_i a^i b^(n-i) has the sign of p(a/b); Horner's
+    rule on that homogeneous sum multiplies by a and scales the next
+    coefficient by the next power of b, so no fraction is ever reduced.
+    """
+    acc = 0
+    scale = 1
+    for c in reversed(p):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
+
+
 def sign_at(p: IntPoly, x) -> int:
+    """Sign of p(x); an integer or Fraction x goes through `sign_at_ratio`."""
+    if isinstance(x, (int, Fraction)):
+        return sign_at_ratio(p, x.numerator, x.denominator)
     v = eval_at(p, x)
     return (v > 0) - (v < 0)
 

@@ -17,6 +17,13 @@ Digits of the expansion of 1 come from one exact engine for every base.
   gcd with p locates the common root).  A remainder with no beta terms is
   the rational c_0 / D and needs no interval.  No floating point ever
   enters the digit path.
+- **Enclosure.**  The isolating interval is refined by dyadic bisection
+  in integers: both ends over one denominator that doubles per level, one
+  exact sign test per level against the stored sign of p at the lower
+  end.  `RealBase.enclosure(width)` returns the deepest dyadic cell
+  reached so far, by digits or by earlier requests, so the printed ends
+  of an enclosure depend on what was refined before; each cell is the
+  one the plain Fraction bisection reaches.
 - **Repeats.**  An index maps the fingerprint (hash) of each remainder to
   the indices k that have it.  A hit is only a hint: it is confirmed by
   recomputing those r_j from r_0 and the digits, so a collision never
@@ -112,9 +119,11 @@ class ParryClass:
 class RealBase:
     """A real base beta > 1 with a lazily extended expansion of 1."""
 
-    def __init__(self, coeffs, interval, source=None):
+    def __init__(self, coeffs, interval, source=None, lo_sign=None):
         self.poly = coeffs  # low-first primitive int tuple, leading coefficient > 0
         self._ival = list(interval)  # mutable enclosure; [q, q] for a rational q
+        # the sign of p at the lower end, which bisection never changes
+        self._lo_sign = pl.sign_at(coeffs, interval[0]) if lo_sign is None else lo_sign
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
@@ -168,21 +177,22 @@ class RealBase:
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo >= hi:
             raise NumerationError(f"bad isolating interval ({lo}, {hi})")
-        if pl.sign_at(p, lo) == 0 or pl.sign_at(p, hi) == 0:
+        s_lo, s_hi = pl.sign_at(p, lo), pl.sign_at(p, hi)
+        if s_lo == 0 or s_hi == 0:
             raise NumerationError("isolating interval endpoints must not be roots")
         if pl.count_roots(p, lo, hi) != 1:
             raise NumerationError("interval does not isolate exactly one root")
-        if pl.sign_at(p, lo) * pl.sign_at(p, hi) > 0:
+        if s_lo * s_hi > 0:
             # one root of the square-free part always flips the sign
             raise NumerationError("interval does not isolate exactly one root")
         # push the lower endpoint above 1
         if hi <= 1:
             raise NumerationError("isolated root is not > 1")
         if lo < 1:
-            s1 = pl.sign_at(p, Fraction(1))
-            if s1 == 0 or s1 == pl.sign_at(p, hi):
+            s1 = pl.sign_at(p, 1)
+            if s1 == 0 or s1 == s_hi:
                 raise NumerationError("isolated root is not > 1")
-            lo = Fraction(1)
+            lo, s_lo = Fraction(1), s1
         if pl.degree(p) == 1:
             # linear polynomial: the root is exactly rational
             root = Fraction(-p[0], p[1])
@@ -190,30 +200,65 @@ class RealBase:
                 raise NumerationError("isolated root is not > 1")
             return cls.rational(root)
         text = ",".join(str(c) for c in pl.high_first(p))
-        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
+        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})", lo_sign=s_lo)
 
     # -- enclosure -------------------------------------------------------------
 
     def enclosure(self, width=None) -> Interval:
-        """A rigorous interval containing beta, refined below `width` if given."""
+        """A rigorous interval containing beta, refined below `width` if given.
+
+        The interval is the deepest cell of the dyadic bisection of the
+        isolating interval reached so far, by this call or by any earlier
+        refinement (a digit's floor, an earlier and narrower request).  A
+        request that the enclosure already meets bisects nothing, so the
+        ends returned depend on what was asked of the base before.  A
+        midpoint at which the polynomial vanishes is beta itself, and the
+        enclosure collapses to that point.  `width` must be positive.
+        """
         if width is not None:
             width = Fraction(width)
-            while 0 < self._ival[1] - self._ival[0] >= width:
-                self._bisect()
+            if width <= 0:
+                raise NumerationError(f"enclosure width must be > 0, got {width}")
+            self._bisect(self._levels_below(width))
         return Interval(self._ival[0], self._ival[1])
 
-    def _bisect(self):
+    def _levels_below(self, width: Fraction) -> int:
+        """The number of halvings that take the enclosure below `width`:
+        the least k with (hi - lo) / 2^k < width, and 0 for a point."""
+        w = self._ival[1] - self._ival[0]
+        if w < width:
+            return 0
+        x, y = w.numerator * width.denominator, width.numerator * w.denominator
+        k = x.bit_length() - y.bit_length()  # x < y * 2^(k+1), x >= y * 2^(k-1)
+        return k if x < y << k else k + 1
+
+    def _bisect(self, levels: int):
+        """Halve the enclosure `levels` times, keeping the half that holds
+        beta; a midpoint that is a root collapses it and ends the loop.
+
+        Both ends are integers over one running denominator that doubles
+        per level, and each level is one exact sign test at the midpoint,
+        compared with the stored sign at the lower end.  The two Fractions
+        are built once, at the end, so every cell is the one the plain
+        Fraction bisection reaches.
+        """
         lo, hi = self._ival
-        mid = (lo + hi) / 2
-        s = pl.sign_at(self.poly, mid)
-        if s == 0:
-            # the root is exactly rational: collapse to a degenerate enclosure
-            self._ival[0] = self._ival[1] = mid
+        if lo == hi:
             return
-        if s == pl.sign_at(self.poly, lo):
-            self._ival[0] = mid
-        else:
-            self._ival[1] = mid
+        den = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        for _ in range(levels):
+            mid, a, b, den = a + b, a << 1, b << 1, den << 1
+            s = pl.sign_at_ratio(self.poly, mid, den)
+            if s == 0:
+                a = b = mid
+                break
+            if s == self._lo_sign:
+                a = mid
+            else:
+                b = mid
+        self._ival[0], self._ival[1] = Fraction(a, den), Fraction(b, den)
 
     def _is_non_integer_rational(self) -> bool:
         """Whether beta is a rational number that is not an integer,
@@ -299,7 +344,7 @@ class RealBase:
                 return flo, False
             if fhi == flo + 1 and self._is_exactly(s, fhi):
                 return fhi, True
-            self._bisect()
+            self._bisect(1)
         raise RefinementBudgetError(
             "interval refinement did not separate a floor boundary"
         )

@@ -513,6 +513,38 @@ def rational_digits(q, depth: int) -> tuple[DigitWord, str]:
     return tuple(digits), kind
 
 
+def _horner_sign(p: pl.IntPoly, x: Fraction) -> int:
+    v = pl.eval_at(p, x)
+    return (v > 0) - (v < 0)
+
+
+class FractionBisection:
+    """The isolating interval of a root, bisected in Fractions: each level
+    evaluates p by Horner's rule at the midpoint and again at the lower
+    end, and keeps the half where the signs differ; a midpoint that is a
+    root collapses the interval to that point."""
+
+    def __init__(self, poly: pl.IntPoly, lo, hi):
+        self.poly = poly
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+
+    def bisect(self):
+        mid = (self.lo + self.hi) / 2
+        s = _horner_sign(self.poly, mid)
+        if s == 0:
+            self.lo = self.hi = mid
+        elif s == _horner_sign(self.poly, self.lo):
+            self.lo = mid
+        else:
+            self.hi = mid
+
+    def enclosure(self, width) -> tuple:
+        """Bisect until narrower than `width` (or a point); the ends."""
+        while 0 < self.hi - self.lo >= width:
+            self.bisect()
+        return self.lo, self.hi
+
+
 def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
     """The greedy expansion of 1 of the root > 1 of `poly` in `interval`,
     by the remainder loop over Q(beta) with `Fraction` coefficients.
@@ -527,18 +559,7 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
     "unresolved".
     """
     n = pl.degree(poly)
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-
-    def bisect():
-        nonlocal lo, hi
-        mid = (lo + hi) / 2
-        s = pl.sign_at(poly, mid)
-        if s == 0:
-            lo = hi = mid
-        elif s == pl.sign_at(poly, lo):
-            lo = mid
-        else:
-            hi = mid
+    box = FractionBisection(poly, *interval)
 
     def times_beta(vec):
         top = vec[n - 1]
@@ -550,7 +571,7 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
         if not c:
             return True
         g = pl.gcd(poly, c)
-        return pl.degree(g) >= 1 and pl.sign_at(g, lo) * pl.sign_at(g, hi) < 0
+        return pl.degree(g) >= 1 and pl.sign_at(g, box.lo) * pl.sign_at(g, box.hi) < 0
 
     def floor(vec):
         if not any(vec[1:]):
@@ -558,13 +579,13 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
         for _ in range(256):
             acc = Interval.point(0)
             for c in reversed(vec):
-                acc = acc * Interval(lo, hi) + c
+                acc = acc * Interval(box.lo, box.hi) + c
             flo, fhi = math.floor(acc.lo), math.floor(acc.hi)
             if flo == fhi:
                 return flo, False
             if fhi == flo + 1 and is_exactly(vec, fhi):
                 return fhi, True
-            bisect()
+            box.bisect()
         raise NumerationError("256 bisections did not separate a floor boundary")
 
     rem = (Fraction(1),) + (Fraction(0),) * (n - 1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.strip(), captured.err.strip()
+
+
+GOLDEN_ENCLOSURES = Path(__file__).resolve().parent / "golden" / "enclosures.json"
+
+
+def printed_ends(base_json):
+    """The exact [lo, hi] strings of a printed base, or None without one."""
+    enc = (base_json or {}).get("enclosure")
+    return enc and [enc["lo"], enc["hi"]]
+
+
+def test_printed_enclosures_match_golden(capsys):
+    # the exact ends that classify --json prints for every fixture (each
+    # after that run's digit refinement) and that beta-of --json prints
+    golden = json.loads(GOLDEN_ENCLOSURES.read_text())
+    assert sorted(golden["classify"]) == sorted(f.stem for f in FIXTURES.glob("*.json"))
+    for name, want in golden["classify"].items():
+        code, out, _ = run(capsys, "classify", "--system", str(FIXTURES / f"{name}.json"), "--json")
+        assert code == 0 and printed_ends(json.loads(out)["base"]) == want, name
+    for word, want in golden["beta-of"].items():
+        code, out, _ = run(capsys, "beta-of", "--word", word, "--json")
+        assert code == 0 and printed_ends(json.loads(out)) == want, word
 
 
 def test_dbeta_golden_ratio(capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bertrandnum import NumerationError
 from bertrandnum import polynomials as pl
@@ -15,6 +16,34 @@ def test_poly_normalization_and_eval():
     assert pl.eval_at(p, 2) == 1
     assert pl.eval_at(p, Fraction(1, 2)) == Fraction(-5, 4)
     assert pl.sign_at(p, 1) == -1 and pl.sign_at(p, 2) == 1
+
+
+@st.composite
+def points_and_polys(draw):
+    """A rational point a/b (b > 0, not always in lowest terms) and an
+    integer polynomial, which half the time has a/b as a root."""
+    a = draw(st.integers(-10**6, 10**6))
+    b = draw(st.integers(1, 10**6))
+    p = pl.poly(draw(st.lists(st.integers(-60, 60), max_size=8)))
+    if draw(st.booleans()):
+        p = pl.mul(p, (-a, b))
+    return p, a, b
+
+
+@given(points_and_polys())
+@example(((), 3, 7))
+@example(((-2, 3), 2, 3))  # a root
+@example(((-2, 3), 4, 6))  # the same root, unreduced
+@example(((0, 0, 1), 0, 5))  # a double root at zero
+@example(((5, 0, -1, 1), -3, 2))  # a negative point
+def test_sign_kernel_matches_fraction_horner(case):
+    p, a, b = case
+    v = pl.eval_at(p, Fraction(a, b))
+    want = (v > 0) - (v < 0)
+    assert pl.sign_at_ratio(p, a, b) == want
+    assert pl.sign_at(p, Fraction(a, b)) == want
+    if b == 1:
+        assert pl.sign_at(p, a) == want
 
 
 def test_poly_arithmetic():

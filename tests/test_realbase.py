@@ -21,6 +21,7 @@ from bertrandnum import polynomials as pl
 
 from conftest import census_sextics, golden_ratio, golden_ratio_squared, tribonacci
 from oracles import (
+    FractionBisection,
     ceil_minus_one,
     floor_of,
     fraction_expansion,
@@ -506,6 +507,60 @@ def test_true_fingerprint_collision_is_not_a_repeat():
     assert base._seen[hash(r12)] == [12, 13]
     assert cls.kind == "unresolved"
     assert (cls.word, cls.kind) == oracle_class(base, 120)
+
+
+# ---------------------------------------------------------------------------
+# the integer bisection of the enclosure against the Fraction bisection
+
+# one-level steps (None) interleaved with refinements below a width; the
+# 1/16 request is already met and bisects nothing
+BISECTION_SCHEDULE = (
+    None, Fraction(1, 2**8), None, None, Fraction(1, 10**12), Fraction(1, 16),
+    None, Fraction(1, 2**60), None,
+)
+
+
+def assert_bisection_matches_reference(base: RealBase):
+    enc = base.enclosure()
+    ref = FractionBisection(base.poly, enc.lo, enc.hi)
+    for step in BISECTION_SCHEDULE:
+        if step is None:
+            base._bisect(1)
+            ref.bisect()
+        else:
+            base.enclosure(step)
+            ref.enclosure(step)
+        enc = base.enclosure()
+        assert (enc.lo, enc.hi) == (ref.lo, ref.hi), (base, step)
+
+
+def test_bisection_matches_fraction_reference_on_census():
+    specs = census_sextics()[::27]
+    for spec in specs:
+        assert_bisection_matches_reference(parse_base(spec))
+
+
+def test_bisection_matches_fraction_reference_on_small_words():
+    words = list(small_valid_expansions(max_total=4))
+    assert len(words) > 40
+    for w in words:
+        assert_bisection_matches_reference(base_from_expansion(w))
+    assert_bisection_matches_reference(parse_base("poly:2,-3,-1@(1,2)"))
+
+
+def test_rational_midpoint_collapses_the_enclosure():
+    # (X - 5)(X^2 - 3X + 1): the first midpoint of (4, 6) is the root 5
+    base = parse_base("poly:1,-8,16,-5@(4,6)")
+    assert_bisection_matches_reference(base)
+    enc = base.enclosure(Fraction(1, 10**12))
+    assert enc.lo == enc.hi == 5
+
+
+@pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)], ids=str)
+@pytest.mark.parametrize("spec", ["poly:1,-1,-1@(1,2)", "int:3"])
+def test_enclosure_rejects_nonpositive_width(spec, width):
+    with pytest.raises(NumerationError, match="width must be > 0"):
+        parse_base(spec).enclosure(width)
 
 
 def test_expansion_memory_per_digit():
