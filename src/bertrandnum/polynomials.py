@@ -58,11 +58,8 @@ def sign_at_ratio(p: IntPoly, a: int, b: int) -> int:
 
 
 def sign_at(p: IntPoly, x) -> int:
-    """Sign of p(x); an integer or Fraction x goes through `sign_at_ratio`."""
-    if isinstance(x, (int, Fraction)):
-        return sign_at_ratio(p, x.numerator, x.denominator)
-    v = eval_at(p, x)
-    return (v > 0) - (v < 0)
+    """Sign of p(x) at an integer or Fraction x."""
+    return sign_at_ratio(p, x.numerator, x.denominator)
 
 
 def add(p: IntPoly, q: IntPoly) -> IntPoly:

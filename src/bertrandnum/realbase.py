@@ -119,11 +119,11 @@ class ParryClass:
 class RealBase:
     """A real base beta > 1 with a lazily extended expansion of 1."""
 
-    def __init__(self, coeffs, interval, source=None, lo_sign=None):
+    def __init__(self, coeffs, interval, source=None):
         self.poly = coeffs  # low-first primitive int tuple, leading coefficient > 0
         self._ival = list(interval)  # mutable enclosure; [q, q] for a rational q
         # the sign of p at the lower end, which bisection never changes
-        self._lo_sign = pl.sign_at(coeffs, interval[0]) if lo_sign is None else lo_sign
+        self._lo_sign = pl.sign_at(coeffs, interval[0])
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
@@ -192,7 +192,7 @@ class RealBase:
             s1 = pl.sign_at(p, 1)
             if s1 == 0 or s1 == s_hi:
                 raise NumerationError("isolated root is not > 1")
-            lo, s_lo = Fraction(1), s1
+            lo = Fraction(1)
         if pl.degree(p) == 1:
             # linear polynomial: the root is exactly rational
             root = Fraction(-p[0], p[1])
@@ -200,7 +200,7 @@ class RealBase:
                 raise NumerationError("isolated root is not > 1")
             return cls.rational(root)
         text = ",".join(str(c) for c in pl.high_first(p))
-        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})", lo_sign=s_lo)
+        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
 
     # -- enclosure -------------------------------------------------------------
 
