@@ -4,19 +4,27 @@ One subcommand per library operation; every worked example in the docs
 is reproducible from here.  Exit codes: 0 on success, 1 on domain errors
 (bad words, unresolved bases, ...), 2 on usage errors.
 
-Building the parser loads no layer of the library: each command and
-helper imports the layers it uses when it runs, so `member` never loads
-the real-base arithmetic and `dbeta` never loads the numeration systems.
+Building the parser loads no layer of the library and no `json`: each
+command and helper imports the layers it uses when it runs, so `member`
+never loads the real-base arithmetic and `dbeta` never loads the
+numeration systems, and `json` is loaded only to print or write `--json`
+output or to read a system file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import DEFAULT_DEPTH, VARIANTS
 from .errors import NumerationError
+
+
+def _dumps(obj) -> str:
+    """JSON text of obj: only the commands that print or write JSON load json."""
+    import json
+
+    return json.dumps(obj)
 
 
 def _interval_json(iv) -> dict:
@@ -62,7 +70,7 @@ def cmd_expansion(args) -> int:
     greedy = args.command == "dbeta"
     word = format_word(cls.word if greedy else cls.quasi_greedy)
     if args.json:
-        print(json.dumps({"word": word, "resolved": cls.resolved, "class": cls.describe()}))
+        print(_dumps({"word": word, "resolved": cls.resolved, "class": cls.describe()}))
     else:
         note = f" [{cls.describe()}]" if greedy or not cls.resolved else ""
         print(f"{word}{note}")
@@ -76,7 +84,7 @@ def cmd_beta_of(args) -> int:
 
     base = base_from_expansion(parse_epword(args.word))
     if args.json:
-        print(json.dumps(_base_json(base)))
+        print(_dumps(_base_json(base)))
     elif base.kind == "algebraic":
         enc = base.enclosure()
         print(f"root of {pl.format_poly(base.poly)} in ({enc.lo}, {enc.hi}) ~ {base.approx()}")
@@ -99,7 +107,7 @@ def cmd_build(args) -> int:
     s = build_bertrand(base, args.variant)
     values = s.values(args.count)
     if args.json:
-        _write_file(args.json, json.dumps(s.to_json()) + "\n")
+        _write_file(args.json, _dumps(s.to_json()) + "\n")
     print(" ".join(str(v) for v in values))
     if _coincides(base, args.variant):
         print(
@@ -144,7 +152,7 @@ def cmd_check_bertrand(args) -> int:
     report = s.check_bertrand(args.max_len)
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "holds_up_to": report.holds_up_to,
                     "first_violation": None
@@ -204,7 +212,7 @@ def cmd_classify(args) -> int:
             else {"word": format_word(res.witness.word), "kind": res.witness.kind},
             "note": "",
         }
-        print(json.dumps(out))
+        print(_dumps(out))
     else:
         print(_classify_text(res))
     return 0
@@ -217,7 +225,7 @@ def cmd_charpoly(args) -> int:
 
     p = char_poly(parse_epword(args.word), args.variant)
     if args.json:
-        print(json.dumps({"coeffs_high_first": pl.high_first(p), "pretty": pl.format_poly(p)}))
+        print(_dumps({"coeffs_high_first": pl.high_first(p), "pretty": pl.format_poly(p)}))
     else:
         print(pl.format_poly(p))
     return 0
@@ -232,7 +240,7 @@ def cmd_automaton(args) -> int:
     if args.dot:
         _write_file(args.dot, dfa.to_dot())
     if args.json:
-        print(json.dumps(dfa.to_json()))
+        print(_dumps(dfa.to_json()))
     else:
         edges = sorted((q, c, t) for (q, c), t in dfa.transitions.items())
         edge_text = ", ".join(f"{q}-{c}->{t}" for q, c, t in edges)
@@ -290,7 +298,7 @@ def cmd_analyze(args) -> int:
             rows.append(f"{i},{float(r)},{float(e.lo)},{float(e.hi)}\n")
         _write_file(args.csv, "".join(rows))
     if args.json:
-        print(json.dumps(out))
+        print(_dumps(out))
     else:
         print(f"dominant root estimate: {out['ratio_final']}")
         print(

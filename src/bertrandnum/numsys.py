@@ -31,7 +31,6 @@ scan always ends.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -436,6 +435,8 @@ def parse_system(text: str) -> NumSys:
         if word.startswith("parry:"):
             word = word[len("parry:") :]
         return NumSys.from_word(parse_epword(word))
+    import json
+
     try:
         with open(text) as fh:
             data = json.load(fh)

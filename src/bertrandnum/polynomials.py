@@ -2,7 +2,7 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Only what the root-isolation and recurrence machinery
-needs lives here: evaluation, exact sign tests, arithmetic, gcd,
+needs lives here: evaluation, exact sign tests, the derivative, gcd,
 square-free part, Sturm counting and a pretty printer.
 """
 
@@ -60,30 +60,6 @@ def sign_at_ratio(p: IntPoly, a: int, b: int) -> int:
 def sign_at(p: IntPoly, x) -> int:
     """Sign of p(x) at an integer or Fraction x."""
     return sign_at_ratio(p, x.numerator, x.denominator)
-
-
-def add(p: IntPoly, q: IntPoly) -> IntPoly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
-def neg(p: IntPoly) -> IntPoly:
-    return tuple(-c for c in p)
-
-
-def sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return add(p, neg(q))
-
-
-def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
 
 
 def derivative(p: IntPoly) -> IntPoly:
@@ -149,14 +125,6 @@ def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     if rem:
         raise NumerationError("polynomial division was not exact")
     return primitive(quot)
-
-
-def divides(p: IntPoly, q: IntPoly) -> bool:
-    """True when p divides q over Q (up to a constant)."""
-    if not p:
-        return not q
-    _, rem = _divmod_frac(q, p)
-    return not rem
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:

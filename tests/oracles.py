@@ -29,6 +29,45 @@ from bertrandnum.intervals import Interval
 from bertrandnum.numsys import BertrandRule, Recurrence
 
 
+def poly_add(p: pl.IntPoly, q: pl.IntPoly) -> pl.IntPoly:
+    n = max(len(p), len(q))
+    return pl.poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
+
+
+def poly_neg(p: pl.IntPoly) -> pl.IntPoly:
+    return tuple(-c for c in p)
+
+
+def poly_sub(p: pl.IntPoly, q: pl.IntPoly) -> pl.IntPoly:
+    return poly_add(p, poly_neg(q))
+
+
+def poly_mul(p: pl.IntPoly, q: pl.IntPoly) -> pl.IntPoly:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return pl.poly(out)
+
+
+def poly_divides(p: pl.IntPoly, q: pl.IntPoly) -> bool:
+    """True when p divides q over Q (up to a constant): the remainder of
+    q by p, from long division in Fractions, is zero."""
+    if not p:
+        return not q
+    r = [Fraction(c) for c in pl.poly(q)]
+    while len(r) >= len(p):
+        f = r[-1] / p[-1]
+        k = len(r) - len(p)
+        for i, c in enumerate(p):
+            r[k + i] -= f * c
+        r = list(pl.poly(r))
+    return not r
+
+
 def member_direct(s: NumSys, w) -> bool:
     """Membership without the suffix criterion: strip leading zeros, then
     compare with the greedy representation of the value."""
@@ -288,7 +327,7 @@ def _system_char_poly(s: NumSys):
     p = pl.poly([-c for c in reversed(g.coeffs)] + [1])
     start = len(g.initial)
     if g.addend:
-        p = pl.mul(p, (-1, 1))  # (X - 1) absorbs the constant term
+        p = poly_mul(p, (-1, 1))  # (X - 1) absorbs the constant term
         start += 1
     return p, start
 

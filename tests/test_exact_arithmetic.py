@@ -7,6 +7,8 @@ from bertrandnum import NumerationError
 from bertrandnum import polynomials as pl
 from bertrandnum.intervals import Interval
 
+from oracles import poly_add, poly_divides, poly_mul, poly_sub
+
 
 def test_poly_normalization_and_eval():
     assert pl.poly([1, 2, 0, 0]) == (1, 2)
@@ -26,7 +28,7 @@ def points_and_polys(draw):
     b = draw(st.integers(1, 10**6))
     p = pl.poly(draw(st.lists(st.integers(-60, 60), max_size=8)))
     if draw(st.booleans()):
-        p = pl.mul(p, (-a, b))
+        p = poly_mul(p, (-a, b))
     return p, a, b
 
 
@@ -48,18 +50,31 @@ def test_sign_kernel_matches_fraction_horner(case):
 
 def test_poly_arithmetic():
     p, q = (1, 1), (-1, 1)  # x+1, x-1
-    assert pl.mul(p, q) == (-1, 0, 1)
-    assert pl.add(p, q) == (0, 2)
-    assert pl.sub(p, p) == ()
+    assert poly_mul(p, q) == (-1, 0, 1)
+    assert poly_add(p, q) == (0, 2)
+    assert poly_sub(p, p) == ()
     assert pl.derivative((-1, 0, 1)) == (0, 2)
 
 
 def test_gcd_and_squarefree():
-    p = pl.mul((-1, -1, 1), (-1, -1, 1))
+    p = poly_mul((-1, -1, 1), (-1, -1, 1))
     assert pl.squarefree_part(p) == (-1, -1, 1)
-    assert pl.gcd(pl.mul((-2, 1), (-1, 1)), pl.mul((-2, 1), (3, 1))) == (-2, 1)
-    assert pl.divides((-1, 1), (-1, 0, 0, 1))  # x-1 | x^3-1
-    assert not pl.divides((1, 1), (-1, -1, 1))
+    assert pl.gcd(poly_mul((-2, 1), (-1, 1)), poly_mul((-2, 1), (3, 1))) == (-2, 1)
+    assert poly_divides((-1, 1), (-1, 0, 0, 1))  # x-1 | x^3-1
+    assert not poly_divides((1, 1), (-1, -1, 1))
+
+
+@given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), max_size=5),
+       st.lists(st.integers(-9, 9), max_size=3))
+def test_poly_divides_oracle_matches_gcd_degree(p, q, r):
+    """p divides q over Q exactly when gcd(p, q) has the degree of p; a
+    multiple of p is divided by it."""
+    p, q, r = pl.poly(p), pl.poly(q), pl.poly(r)
+    if p:
+        assert poly_divides(p, q) == (pl.degree(pl.gcd(p, q)) == pl.degree(p))
+        assert poly_divides(p, poly_mul(poly_add(q, r), p))
+    else:
+        assert poly_divides(p, q) == (not q)
 
 
 def test_exact_div_raises_on_remainder():
@@ -72,7 +87,7 @@ def test_sturm_count():
     assert pl.count_roots(p, Fraction(0), Fraction(2)) == 1
     assert pl.count_roots(p, Fraction(-1), Fraction(2)) == 2
     assert pl.count_roots(p, Fraction(2), Fraction(3)) == 0
-    wilkinsonish = pl.mul(pl.mul((-1, 1), (-2, 1)), (-3, 1))
+    wilkinsonish = poly_mul(poly_mul((-1, 1), (-2, 1)), (-3, 1))
     assert pl.count_roots(wilkinsonish, Fraction(1, 2), Fraction(7, 2)) == 3
 
 

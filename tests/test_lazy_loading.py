@@ -4,7 +4,6 @@ Each check runs in a fresh `python -S` interpreter on src/, so nothing
 this test session has imported counts.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,16 +19,24 @@ LAYERS = ("errors", "words", "polynomials", "intervals", "realbase", "numsys", "
 
 
 def loaded_after(code: str) -> set:
-    """The modules loaded by a fresh interpreter once `code` has run."""
+    """The modules loaded by a fresh interpreter once `code` has run.
+
+    The names are printed as plain text, so reporting them loads nothing
+    (printing them as JSON would load `json` and hide its absence)."""
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         f"{code}\n"
-        "print(__import__('json').dumps(sorted(sys.modules)))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_loaded_after_sees_what_the_code_did_not_load():
+    assert "json" not in loaded_after("pass")
+    assert "json" in loaded_after("import json")
 
 
 def test_parser_loads_no_layer():
@@ -37,7 +44,7 @@ def test_parser_loads_no_layer():
     assert {m for m in loaded if m.startswith("bertrandnum")} == {
         "bertrandnum", "bertrandnum.cli", "bertrandnum.errors"
     }
-    assert not loaded & {"fractions", "dataclasses"}
+    assert not loaded & {"fractions", "dataclasses", "json"}
 
 
 def run_main(*argv) -> str:
@@ -49,24 +56,37 @@ def run_main(*argv) -> str:
     )
 
 
+def layers(*names) -> set:
+    return {f"bertrandnum.{m}" for m in names}
+
+
+NO_REALBASE = layers("realbase", "polynomials", "intervals", "analysis") | {"fractions"}
+NO_NUMSYS = layers("numsys", "bertrand", "automata", "analysis")
+ZECKENDORF = str(FIXTURES / "zeckendorf.json")
+
+
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, present",
     [
-        (["member", "--system", str(FIXTURES / "zeckendorf.json"), "--word", "101"],
-         ("realbase", "polynomials", "intervals", "analysis")),
+        (["member", "--system", ZECKENDORF, "--word", "101"], NO_REALBASE, {"json"}),
+        (["member", "--system", "bertrand:11", "--word", "101"], NO_REALBASE | {"json"}, set()),
         (["check-bertrand", "--system", "bertrand:11", "--max-len", "6"],
-         ("realbase", "polynomials", "intervals", "analysis")),
-        (["dbeta", "--base", "poly:1,-1,-1@(1,2)", "--depth", "10"],
-         ("numsys", "bertrand", "automata", "analysis")),
-        (["dstar", "--base", "int:3"], ("numsys", "bertrand", "automata", "analysis")),
+         NO_REALBASE | {"json"}, set()),
+        (["check-bertrand", "--system", "bertrand:11", "--max-len", "6", "--json"],
+         NO_REALBASE, {"json"}),
+        (["dbeta", "--base", "poly:1,-1,-1@(1,2)", "--depth", "10"], NO_NUMSYS | {"json"}, set()),
+        (["dbeta", "--base", "int:3", "--json"], NO_NUMSYS, {"json"}),
+        (["dstar", "--base", "int:3"], NO_NUMSYS | {"json"}, set()),
     ],
-    ids=["member", "check-bertrand", "dbeta", "dstar"],
+    ids=["member-file", "member", "check-bertrand", "check-bertrand-json", "dbeta", "dbeta-json",
+         "dstar"],
 )
-def test_command_loads_only_its_layers(argv, absent):
+def test_command_loads_only_its_layers(argv, absent, present):
+    """A command loads only the layers it uses, and `json` only when it
+    prints JSON or reads a system file."""
     loaded = loaded_after(run_main(*argv))
-    assert not {f"bertrandnum.{m}" for m in absent} & loaded
-    if argv[0] in ("member", "check-bertrand"):
-        assert "fractions" not in loaded
+    assert not absent & loaded
+    assert present <= loaded
 
 
 PUBLIC_NAMES = [

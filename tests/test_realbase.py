@@ -26,6 +26,7 @@ from oracles import (
     floor_of,
     fraction_expansion,
     lex_cmp,
+    poly_mul,
     rational_digits,
     shift_member,
 )
@@ -320,7 +321,7 @@ def test_algebraic_validation():
     with pytest.raises(NumerationError):
         RealBase.algebraic((1, -3, 1), (0, 1))
     # non-square-free input is normalized and still works
-    sq = pl.mul((-1, -1, 1), (-1, -1, 1))
+    sq = poly_mul((-1, -1, 1), (-1, -1, 1))
     b = RealBase.algebraic(sq, (1, 2))
     assert b.parry_class().word == epword((1, 1), (0,))
 
@@ -334,7 +335,7 @@ def test_integer_detected_through_polynomial():
 
 def test_reducible_polynomial_with_algebraic_root():
     # (x-2)(x^2-x-1): isolate the golden ratio between the rational roots
-    p = pl.mul((-2, 1), (-1, -1, 1))
+    p = poly_mul((-2, 1), (-1, -1, 1))
     b = RealBase.algebraic(p, (Fraction(3, 2), Fraction(7, 4)))
     assert b.parry_class().word == epword((1, 1), (0,))
 
