@@ -40,13 +40,6 @@ class Interval:
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def gap(self, other: "Interval") -> Fraction:
-        """Distance between the intervals; zero when they overlap."""
-        return max(other.lo - self.hi, self.lo - other.hi, Fraction(0))
-
     def __add__(self, other):
         o = _coerce(other)
         return Interval(self.lo + o.lo, self.hi + o.hi)

@@ -38,6 +38,7 @@ from .errors import NumerationError
 from .words import (
     DigitWord,
     EPWord,
+    _is_integer,
     epword,
     format_epword,
     is_parry_valid,
@@ -170,8 +171,7 @@ class NumSys:
 
     def rep(self, n: int) -> DigitWord:
         """The greedy representation of n; rep(0) is the empty word."""
-        n = int(n)
-        if n < 0:
+        if _integer(n, "n") < 0:
             raise NumerationError("only nonnegative integers have representations")
         if n == 0:
             return ()
@@ -188,7 +188,7 @@ class NumSys:
         """Value of a digit word: sum of w_i U(|w| - i)."""
         total = 0
         for i, d in enumerate(w):
-            total += d * self.u(len(w) - 1 - i)
+            total += _integer(d, "a digit") * self.u(len(w) - 1 - i)
         return total
 
     def lex_max(self, i: int) -> DigitWord:
@@ -386,10 +386,6 @@ class NumSys:
         if isinstance(g, BertrandRule):
             return f"NumSys(word={format_epword(g.word)})"
         return f"NumSys(initial={list(g.initial)}, coeffs={list(g.coeffs)}, addend={g.addend})"
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _integer(value, what: str) -> int:

@@ -2,8 +2,13 @@
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Only what the root-isolation and recurrence machinery
-needs lives here: evaluation, exact sign tests, the derivative, gcd,
-square-free part, Sturm counting and a pretty printer.
+needs lives here: exact sign tests, the derivative, gcd, square-free
+part, Sturm counting and a pretty printer.
+
+Every sign the package decides about a polynomial at a rational point
+comes from one integer kernel, `sign_at_ratio`: the bisection of a
+base's isolating interval and the Sturm count both read it.  No
+function here returns the value p(x) itself.
 """
 
 from __future__ import annotations
@@ -33,13 +38,6 @@ def high_first(p: IntPoly) -> list:
 
 def degree(p: IntPoly) -> int:
     return len(p) - 1
-
-
-def eval_at(p: IntPoly, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def sign_at_ratio(p: IntPoly, a: int, b: int) -> int:
@@ -89,25 +87,24 @@ def _divmod_frac(p, q):
     return tuple(quot), tuple(r)
 
 
+def _integral(p) -> IntPoly:
+    """p times the positive rational that clears its denominators and
+    divides out its integer content: an integer polynomial with the sign
+    of p at every point."""
+    from math import gcd as igcd, lcm as ilcm
+
+    fracs = [Fraction(c) for c in p]
+    den = ilcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    g = igcd(*ints) or 1
+    return poly(c // g for c in ints)
+
+
 def primitive(p) -> IntPoly:
     """Clear the denominators, divide out the integer content and make the
     leading coefficient positive."""
-    if not p:
-        return ()
-    from math import gcd as igcd, lcm as ilcm
-
-    den = 1
-    for c in p:
-        den = ilcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in p]
-    g = 0
-    for c in ints:
-        g = igcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return poly(ints)
+    ints = _integral(p)
+    return ints if not ints or ints[-1] > 0 else tuple(-c for c in ints)
 
 
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -138,34 +135,40 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 
 def sturm_chain(p: IntPoly):
-    chain = [tuple(Fraction(c) for c in p)]
+    """The Sturm sequence of p, each member an integer polynomial times a
+    positive constant, so every member has the sign of the textbook one.
+
+    The remainder of c*A by c'*B is c times the remainder of A by B, so
+    for c, c' > 0 the positive factors never flip a later member.
+    """
+    chain = [_integral(p)]
     d = derivative(p)
     if d:
-        chain.append(tuple(Fraction(c) for c in d))
+        chain.append(_integral(d))
         while True:
             _, r = _divmod_frac(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(tuple(-c for c in r))
+            chain.append(_integral(-c for c in r))
     return chain
 
 
-def _variations(values) -> int:
-    signs = [(v > 0) - (v < 0) for v in values if v != 0]
+def _variations(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of square-free p in the interval (lo, hi].
 
-    Requires p(lo) != 0.
+    Requires p(lo) != 0.  The signs of the chain at lo and hi come from
+    `sign_at`, the package's one sign kernel.
     """
     chain = sturm_chain(p)
-    at_lo = [eval_at(q, lo) for q in chain]
-    at_hi = [eval_at(q, hi) for q in chain]
+    at_lo = [sign_at(q, lo) for q in chain]
     if at_lo[0] == 0:
         raise NumerationError("lower endpoint is a root; Sturm count undefined")
-    return _variations(at_lo) - _variations(at_hi)
+    return _variations(at_lo) - _variations([sign_at(q, hi) for q in chain])
 
 
 def format_poly(p: IntPoly, var: str = "X") -> str:

@@ -57,6 +57,7 @@ from .words import (
     DigitWord,
     EPWord,
     _as_epword,
+    _is_integer,
     epword,
     format_epword,
     is_parry_valid,
@@ -149,9 +150,8 @@ class RealBase:
 
     @classmethod
     def integer(cls, b: int) -> "RealBase":
-        b = int(b)
-        if b < 2:
-            raise NumerationError(f"integer base must be >= 2, got {b}")
+        if not _is_integer(b) or b < 2:
+            raise NumerationError(f"integer base must be an integer >= 2, got {b!r}")
         return cls((-b, 1), (Fraction(b), Fraction(b)), f"int:{b}")
 
     @classmethod
@@ -180,10 +180,8 @@ class RealBase:
         s_lo, s_hi = pl.sign_at(p, lo), pl.sign_at(p, hi)
         if s_lo == 0 or s_hi == 0:
             raise NumerationError("isolating interval endpoints must not be roots")
+        # one simple root and no other: p changes sign in the interval
         if pl.count_roots(p, lo, hi) != 1:
-            raise NumerationError("interval does not isolate exactly one root")
-        if s_lo * s_hi > 0:
-            # one root of the square-free part always flips the sign
             raise NumerationError("interval does not isolate exactly one root")
         # push the lower endpoint above 1
         if hi <= 1:

@@ -25,12 +25,20 @@ from .errors import WordError
 DigitWord = tuple
 
 
+def _is_integer(value) -> bool:
+    # a bool or a float is not an integer input, even when it equals one
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _letter(d) -> int:
+    if not _is_integer(d) or d < 0:
+        raise WordError(f"digits must be nonnegative integers, got {d!r}")
+    return d
+
+
 def digit_word(digits) -> DigitWord:
-    """Coerce an iterable of ints into a validated digit tuple."""
-    w = tuple(int(d) for d in digits)
-    if any(d < 0 for d in w):
-        raise WordError(f"digits must be nonnegative, got {w}")
-    return w
+    """A validated digit tuple from an iterable of nonnegative ints."""
+    return tuple(map(_letter, digits))
 
 
 def _primitive_root(p: tuple) -> tuple:
@@ -56,13 +64,8 @@ class EPWord:
     per: tuple
 
     def __post_init__(self):
-        pre = tuple(int(d) for d in self.pre)
-        per = tuple(int(d) for d in self.per)
-        if not per:
-            per = (0,)
-        if any(d < 0 for d in pre + per):
-            raise WordError(f"digits must be nonnegative, got {pre}({per})")
-        per = _primitive_root(per)
+        pre = tuple(map(_letter, self.pre))
+        per = _primitive_root(tuple(map(_letter, self.per)) or (0,))
         while pre and pre[-1] == per[-1]:
             per = (per[-1],) + per[:-1]
             pre = pre[:-1]
@@ -95,15 +98,6 @@ class EPWord:
         if not self.zero_tail:
             raise WordError(f"{self} does not end in zeros")
         return self.pre
-
-    def shift(self, i: int) -> "EPWord":
-        """Drop the first i letters."""
-        if i < 0:
-            raise WordError("shift offset must be nonnegative")
-        if i <= len(self.pre):
-            return EPWord(self.pre[i:], self.per)
-        k = (i - len(self.pre)) % len(self.per)
-        return EPWord((), self.per[k:] + self.per[:k])
 
     def __str__(self) -> str:
         return format_epword(self)

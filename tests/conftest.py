@@ -8,7 +8,7 @@ from hypothesis import assume, strategies as st
 from bertrandnum import NumSys, RealBase, epword, format_epword
 from bertrandnum import polynomials as pl
 
-from oracles import poly_divides
+from oracles import eval_at, poly_divides
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -134,7 +134,7 @@ def census_sextics() -> tuple:
         for b in range(-8, 9):
             for c in range(-10, 11):
                 t = (c - 2 * a, b - 3, a, 1)
-                if pl.eval_at(t, 2) >= 0 or pl.eval_at(t, -2) >= 0:
+                if eval_at(t, 2) >= 0 or eval_at(t, -2) >= 0:
                     continue
                 if any(poly_divides(q, t) for q in _CYCLOTOMIC_TRACES):
                     continue

@@ -53,11 +53,8 @@ def poly_mul(p: pl.IntPoly, q: pl.IntPoly) -> pl.IntPoly:
     return pl.poly(out)
 
 
-def poly_divides(p: pl.IntPoly, q: pl.IntPoly) -> bool:
-    """True when p divides q over Q (up to a constant): the remainder of
-    q by p, from long division in Fractions, is zero."""
-    if not p:
-        return not q
+def _frac_rem(q, p) -> tuple:
+    """The remainder of q by a nonzero p, from long division in Fractions."""
     r = [Fraction(c) for c in pl.poly(q)]
     while len(r) >= len(p):
         f = r[-1] / p[-1]
@@ -65,7 +62,63 @@ def poly_divides(p: pl.IntPoly, q: pl.IntPoly) -> bool:
         for i, c in enumerate(p):
             r[k + i] -= f * c
         r = list(pl.poly(r))
-    return not r
+    return tuple(r)
+
+
+def poly_divides(p: pl.IntPoly, q: pl.IntPoly) -> bool:
+    """True when p divides q over Q (up to a constant): the remainder of
+    q by p, from long division in Fractions, is zero."""
+    if not p:
+        return not q
+    return not _frac_rem(q, p)
+
+
+def eval_at(p, x):
+    """p(x) by Horner's rule, in Fractions for a Fraction x."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_sturm_chain(p: pl.IntPoly) -> list:
+    """The textbook Sturm chain in Fractions: p, p', then minus each
+    remainder, up to the last nonzero one."""
+    chain = [tuple(Fraction(c) for c in p), pl.derivative(p)]
+    while chain[-1]:
+        chain.append(tuple(-c for c in _frac_rem(chain[-2], chain[-1])))
+    return chain[:-1]
+
+
+def sturm_count(p: pl.IntPoly, lo, hi) -> int:
+    """The number of distinct roots of square-free p in (lo, hi], from
+    `fraction_sturm_chain` evaluated at both ends by Horner's rule; p(lo)
+    must not be 0."""
+    chain = fraction_sturm_chain(p)
+
+    def variations(x):
+        signs = [v > 0 for v in (eval_at(q, Fraction(x)) for q in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    assert eval_at(p, Fraction(lo)) != 0
+    return variations(lo) - variations(hi)
+
+
+def overlaps(a: Interval, b: Interval) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
+def gap(a: Interval, b: Interval) -> Fraction:
+    """The distance between two intervals; zero when they overlap."""
+    return max(b.lo - a.hi, a.lo - b.hi, Fraction(0))
+
+
+def shift(w: EPWord, i: int) -> EPWord:
+    """w with its first i letters dropped."""
+    if i <= len(w.pre):
+        return EPWord(w.pre[i:], w.per)
+    k = (i - len(w.pre)) % len(w.per)
+    return EPWord((), w.per[k:] + w.per[:k])
 
 
 def member_direct(s: NumSys, w) -> bool:
@@ -311,7 +364,7 @@ def shift_dominated(d: EPWord, strict: bool) -> bool:
     """is_parry_valid by comparing d with each of its distinct shifts,
     i up to |preperiod| + |period|, each comparison exact."""
     for i in range(1, len(d.pre) + len(d.per) + 1):
-        c = _cmp_epwords(d.shift(i), d)
+        c = _cmp_epwords(shift(d, i), d)
         if c > 0 or (strict and c == 0):
             return False
     return True
@@ -553,7 +606,7 @@ def rational_digits(q, depth: int) -> tuple[DigitWord, str]:
 
 
 def _horner_sign(p: pl.IntPoly, x: Fraction) -> int:
-    v = pl.eval_at(p, x)
+    v = eval_at(p, x)
     return (v > 0) - (v < 0)
 
 

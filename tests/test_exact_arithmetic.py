@@ -1,13 +1,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bertrandnum import NumerationError
 from bertrandnum import polynomials as pl
 from bertrandnum.intervals import Interval
 
-from oracles import poly_add, poly_divides, poly_mul, poly_sub
+from oracles import (
+    eval_at,
+    fraction_sturm_chain,
+    gap,
+    overlaps,
+    poly_add,
+    poly_divides,
+    poly_mul,
+    poly_sub,
+    sturm_count,
+)
 
 
 def test_poly_normalization_and_eval():
@@ -15,8 +25,8 @@ def test_poly_normalization_and_eval():
     assert pl.poly([0, 0]) == ()
     p = pl.from_high_first([1, -1, -1])  # x^2 - x - 1
     assert p == (-1, -1, 1)
-    assert pl.eval_at(p, 2) == 1
-    assert pl.eval_at(p, Fraction(1, 2)) == Fraction(-5, 4)
+    assert eval_at(p, 2) == 1
+    assert eval_at(p, Fraction(1, 2)) == Fraction(-5, 4)
     assert pl.sign_at(p, 1) == -1 and pl.sign_at(p, 2) == 1
 
 
@@ -40,7 +50,7 @@ def points_and_polys(draw):
 @example(((5, 0, -1, 1), -3, 2))  # a negative point
 def test_sign_kernel_matches_fraction_horner(case):
     p, a, b = case
-    v = pl.eval_at(p, Fraction(a, b))
+    v = eval_at(p, Fraction(a, b))
     want = (v > 0) - (v < 0)
     assert pl.sign_at_ratio(p, a, b) == want
     assert pl.sign_at(p, Fraction(a, b)) == want
@@ -91,6 +101,39 @@ def test_sturm_count():
     assert pl.count_roots(wilkinsonish, Fraction(1, 2), Fraction(7, 2)) == 3
 
 
+@st.composite
+def sturm_cases(draw):
+    """A square-free integer polynomial of degree 1 to 8 and a rational
+    interval (lo, hi] with p(lo) != 0.  Half the time p is built as
+    (bX - a)^2 h + c, so that a/b is a root of p'; an end may then sit on
+    a/b, or on the root of the linear member of the Sturm chain."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-12, 12)), draw(st.integers(1, 4))
+        h = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+        p = poly_add(poly_mul(poly_mul((-a, b), (-a, b)), pl.poly(h)), (draw(st.integers(1, 30)),))
+        critical = [Fraction(a, b)]
+    else:
+        p, critical = pl.poly(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=9))), []
+    assume(1 <= pl.degree(p) <= 8 and pl.degree(pl.gcd(p, pl.derivative(p))) == 0)
+    critical += [Fraction(-q[0], q[1]) for q in fraction_sturm_chain(p)[1:] if pl.degree(q) == 1]
+    ends = [Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 12))) for _ in range(2)]
+    for i in range(2):
+        if critical and draw(st.booleans()):
+            ends[i] = draw(st.sampled_from(critical))
+    lo, hi = sorted(ends)
+    assume(lo < hi and eval_at(p, lo) != 0)
+    return p, lo, hi
+
+
+@given(sturm_cases())
+@example(((0, -3, 0, 1), Fraction(-1), Fraction(1)))  # both ends are roots of p'
+@example(((0, -3, 0, 1), Fraction(-2), Fraction(0)))  # hi is a root of p and of 2X
+@example(((-1, -1, 1), Fraction(1, 2), Fraction(2)))  # the root of the linear p'
+def test_count_roots_matches_fraction_sturm_count(case):
+    p, lo, hi = case
+    assert pl.count_roots(p, lo, hi) == sturm_count(p, lo, hi)
+
+
 def test_format_and_parse():
     assert pl.format_poly((-1, -1, 1)) == "X^2 - X - 1"
     assert pl.format_poly((3, -4, 1)) == "X^2 - 4X + 3"
@@ -115,9 +158,9 @@ def test_interval_arithmetic():
 def test_interval_gap_and_overlap():
     a = Interval(0, 1)
     b = Interval(2, 3)
-    assert not a.overlaps(b)
-    assert a.gap(b) == 1
-    assert a.gap(Interval(Fraction(1, 2), 4)) == 0
+    assert not overlaps(a, b)
+    assert gap(a, b) == 1
+    assert gap(a, Interval(Fraction(1, 2), 4)) == 0
 
 
 def test_interval_division_by_zero_straddling():

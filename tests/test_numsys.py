@@ -435,6 +435,17 @@ def test_initial_values_validated():
         NumSys.from_recurrence([1, 3], [1, 1], alphabet_max=1)
 
 
+@pytest.mark.parametrize("n", [2.5, "7", True])
+def test_rep_rejects_a_non_integer(zeckendorf, n):
+    with pytest.raises(NumerationError, match="n must be an integer"):
+        zeckendorf.rep(n)
+
+
+def test_val_rejects_a_non_integer_digit(zeckendorf):
+    with pytest.raises(NumerationError, match="must be an integer, got 1.5"):
+        zeckendorf.val((1.5, 0))
+
+
 def test_not_increasing_rejected():
     s = NumSys.from_recurrence([1, 2], [1, -2])
     with pytest.raises(NumerationError):

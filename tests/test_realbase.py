@@ -13,6 +13,7 @@ from bertrandnum import (
     base_from_expansion,
     epword,
     expansion_polynomial,
+    format_epword,
     is_parry_valid,
     parse_base,
     quasi_greedy_of,
@@ -23,12 +24,14 @@ from conftest import census_sextics, golden_ratio, golden_ratio_squared, tribona
 from oracles import (
     FractionBisection,
     ceil_minus_one,
+    eval_at,
     floor_of,
     fraction_expansion,
     lex_cmp,
     poly_mul,
     rational_digits,
     shift_member,
+    sturm_count,
 )
 
 
@@ -46,7 +49,7 @@ def value_identity_holds(word, base) -> bool:
     enc = base.enclosure()
     if enc.lo == enc.hi:
         # beta is exactly the rational enc.lo; no sign changes inside [q, q]
-        return pl.eval_at(p, enc.lo) == 0
+        return eval_at(p, enc.lo) == 0
     g = pl.gcd(base.poly, p)
     if pl.degree(g) < 1:
         return False
@@ -312,18 +315,80 @@ def test_parse_base_bad_tokens():
             parse_base(text)
 
 
+@pytest.mark.parametrize(
+    "coeffs,interval,message",
+    [
+        ((5,), (1, 2), "polynomial must be nonconstant"),
+        ((-1, -1, 1), (2, 1), "bad isolating interval"),
+        ((2, -3, 1), (1, 3), "endpoints must not be roots"),
+        ((-1, -1, 1), (2, 3), "does not isolate exactly one root"),
+        ((2, -3, 1), (Fraction(1, 2), Fraction(5, 2)), "does not isolate exactly one root"),
+        # x^3 - 5x^2 + 7x - 2 has roots ~0.35, 2 and ~2.65
+        ((-2, 7, -5, 1), (Fraction(1, 4), 3), "does not isolate exactly one root"),
+        ((1, -3, 1), (0, 1), "isolated root is not > 1"),
+        ((1, -3, 1), (0, Fraction(3, 2)), "isolated root is not > 1"),
+        ((3, -4, 1), (0, 2), "isolated root is not > 1"),
+        ((-1, 1), (Fraction(1, 2), 2), "isolated root is not > 1"),
+    ],
+)
+def test_algebraic_rejects_bad_intervals(coeffs, interval, message):
+    with pytest.raises(NumerationError, match=message):
+        RealBase.algebraic(coeffs, interval)
+
+
+def _counted_intervals(monkeypatch, build) -> list:
+    """(p, lo, hi, count) for every Sturm count that `build()` makes."""
+    calls, count = [], pl.count_roots
+
+    def spy(p, lo, hi):
+        calls.append((p, lo, hi, count(p, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(pl, "count_roots", spy)
+    build()
+    return calls
+
+
+def test_census_isolating_intervals_count_one_root(monkeypatch):
+    specs = census_sextics()
+    calls = _counted_intervals(monkeypatch, lambda: [parse_base(s) for s in specs])
+    assert len(calls) == len(specs) == 1080
+    assert all(n == 1 == sturm_count(p, lo, hi) for p, lo, hi, n in calls)
+
+
+def test_parry_word_isolating_intervals_count_one_root(monkeypatch):
+    # every word of up to 5 letters over 0..3, finite or with a period
+    words = {
+        epword(w[:k], w[k:] or (0,))
+        for n in range(1, 6)
+        for w in itertools.product(range(4), repeat=n)
+        for k in range(n + 1)
+    }
+    bases = []
+
+    def build():
+        for w in words:
+            try:
+                bases.append(parse_base(f"parry:{format_epword(w)}"))
+            except NumerationError:
+                pass
+
+    calls = _counted_intervals(monkeypatch, build)
+    assert len(calls) == sum(b.kind == "algebraic" for b in bases) > 100
+    assert all(n == 1 == sturm_count(p, lo, hi) for p, lo, hi, n in calls)
+
+
 def test_algebraic_validation():
-    # interval containing two roots of (x^2-3x+1)(x-2)/... use x^3-5x^2+7x-2
-    # which has roots ~0.35, 2, ~2.64: (0,3) is not isolating
-    with pytest.raises(NumerationError):
-        RealBase.algebraic((-2, 7, -5, 1), (Fraction(1, 4), 3))
-    # root below 1 rejected
-    with pytest.raises(NumerationError):
-        RealBase.algebraic((1, -3, 1), (0, 1))
     # non-square-free input is normalized and still works
     sq = poly_mul((-1, -1, 1), (-1, -1, 1))
     b = RealBase.algebraic(sq, (1, 2))
     assert b.parry_class().word == epword((1, 1), (0,))
+
+
+@pytest.mark.parametrize("b", [2.5, 3.0, True, "3"])
+def test_integer_base_rejects_a_non_integer(b):
+    with pytest.raises(NumerationError, match="integer base must be an integer"):
+        RealBase.integer(b)
 
 
 def test_integer_detected_through_polynomial():

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from bertrandnum import (
     EPWord,
     WordError,
+    digit_word,
     epword,
     format_epword,
     format_word,
@@ -18,7 +19,7 @@ from bertrandnum import (
 )
 from bertrandnum.words import walk
 
-from oracles import greatest_word, least_word_above, lex_cmp, shift_dominated
+from oracles import greatest_word, least_word_above, lex_cmp, shift, shift_dominated
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: compare digit streams position by position
@@ -70,6 +71,18 @@ def test_canonical_idempotent_exhaustive():
 def test_negative_digit_rejected():
     with pytest.raises(WordError):
         epword((1, -1), (0,))
+
+
+@pytest.mark.parametrize("pre,per", [((1.5, 1), (0,)), ((1,), (True,)), ((), ("1",))])
+def test_epword_rejects_a_non_integer_letter(pre, per):
+    with pytest.raises(WordError, match="must be nonnegative integers"):
+        epword(pre, per)
+
+
+@pytest.mark.parametrize("letters", [[2.9, True], [1, True], [2.0]])
+def test_digit_word_rejects_a_non_integer_letter(letters):
+    with pytest.raises(WordError, match="must be nonnegative integers"):
+        digit_word(letters)
 
 
 def test_digit_and_prefix():
@@ -145,15 +158,15 @@ def test_lex_total_order(u, v, w):
 
 
 def test_shift_examples():
-    assert epword((1, 1), (0,)).shift(1) == epword((1,), (0,))
-    assert epword((), (1, 0)).shift(2) == epword((), (1, 0))
-    assert epword((2,), (1,)).shift(1) == epword((), (1,))
+    assert shift(epword((1, 1), (0,)), 1) == epword((1,), (0,))
+    assert shift(epword((), (1, 0)), 2) == epword((), (1, 0))
+    assert shift(epword((2,), (1,)), 1) == epword((), (1,))
 
 
 def test_shift_matches_digit_streams():
     for w in small_epwords(max_total=4):
         for i in range(8):
-            assert w.shift(i).prefix(20) == tuple(w.digit(i + j) for j in range(20))
+            assert shift(w, i).prefix(20) == tuple(w.digit(i + j) for j in range(20))
 
 
 # ---------------------------------------------------------------------------
