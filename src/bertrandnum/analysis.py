@@ -18,6 +18,7 @@ from .errors import NumerationError
 from .intervals import Interval
 from .numsys import NumSys
 from .realbase import RealBase, generating_word, quasi_greedy_of
+from .words import _integer
 
 _MAX_REFINEMENTS = 512
 _TARGET_WIDTH = Fraction(1, 10**8)  # renewal_target
@@ -30,9 +31,7 @@ def dominant_root_ratios(s: NumSys, i_max: int) -> list:
     For a Bertrand system these converge to the base; the last entry is
     the estimate.
     """
-    if i_max < 2:
-        raise NumerationError("i_max must be >= 2")
-    return [Fraction(s.u(i + 1), s.u(i)) for i in range(i_max)]
+    return [Fraction(s.u(i + 1), s.u(i)) for i in range(_integer(i_max, "i_max", 2))]
 
 
 def _enclosure_above_one(base: RealBase, width: Fraction) -> Interval:
@@ -97,9 +96,7 @@ def renewal_empirical(s: NumSys, base: RealBase, i_max: int) -> list:
     The base enclosure is refined until the final entry is narrower than
     10^-6; the same enclosure then produces the whole sequence.
     """
-    if i_max < 1:
-        raise NumerationError("i_max must be >= 1")
-    last = Interval.point(s.u(i_max))
+    last = Interval.point(s.u(_integer(i_max, "i_max", 1)))
     beta, _ = _refine(base, _EMPIRICAL_WIDTH, lambda beta: last / beta**i_max)
     return [Interval.point(s.u(i)) / beta**i for i in range(i_max + 1)]
 
@@ -140,8 +137,7 @@ def entropy_estimates(obj, i_max: int) -> EntropyReport:
     from the value sequence for numeration systems (the number of
     length-i words in the language equals U(i)).
     """
-    if i_max < 2:
-        raise NumerationError("i_max must be >= 2")
+    _integer(i_max, "i_max", 2)
     if isinstance(obj, Dfa):
         count = obj.count_accepted
     elif isinstance(obj, NumSys):
@@ -186,10 +182,7 @@ class LexMaxConvergenceReport:
 def lexmax_convergence_probe(
     s: NumSys, base: RealBase, ell: int, i_max: int
 ) -> LexMaxConvergenceReport:
-    if ell < 1:
-        raise NumerationError("ell must be >= 1")
-    if ell > i_max:
-        raise NumerationError("ell must not exceed i_max")
+    _integer(i_max, "i_max", _integer(ell, "ell", 1))
     d = base.require_parry(max(DEFAULT_DEPTH, ell + i_max))
     dstar = quasi_greedy_of(d)
     if d.zero_tail:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import NumerationError
 from .realbase import RealBase, generating_word, quasi_greedy_of
-from .words import DigitWord, walk_step
+from .words import DigitWord, _integer, walk_step
 
 
 @dataclass
@@ -33,6 +33,9 @@ class Dfa:
 
     def __post_init__(self):
         self.finals = frozenset(self.finals)
+        for q in (self.initial, *self.finals):
+            if not 0 <= q < self.num_states:
+                raise NumerationError(f"state {q} out of range")
         for (q, c), t in self.transitions.items():
             if not (0 <= q < self.num_states and 0 <= t < self.num_states):
                 raise NumerationError(f"transition ({q},{c})->{t} out of range")
@@ -49,11 +52,9 @@ class Dfa:
 
     def count_accepted(self, length: int) -> int:
         """Number of accepted words of the given length (exact big ints)."""
-        if length < 0:
-            raise NumerationError("length must be nonnegative")
         vec = [0] * self.num_states
         vec[self.initial] = 1
-        for _ in range(length):
+        for _ in range(_integer(length, "length", 0)):
             nxt = [0] * self.num_states
             for (q, _), t in self.transitions.items():
                 if vec[q]:

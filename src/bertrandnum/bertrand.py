@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import NumerationError
 from .numsys import NumSys, Violation
 from .realbase import RealBase, base_from_expansion, generating_word
-from .words import EPWord, epword, quasi_to_greedy
+from .words import EPWord, _integer, epword, quasi_to_greedy
 
 
 def build_bertrand(base: RealBase, variant: str) -> NumSys:
@@ -74,8 +74,7 @@ def classify_bertrand(s: NumSys, probe_len: int) -> ClassifyResult:
     this in general: deciding whether a linear recurrence stays
     increasing is the Positivity Problem.
     """
-    if probe_len < 2:
-        raise NumerationError("probe_len must be >= 2")
+    _integer(probe_len, "probe_len", 2)
     word, fails_at = s.scan_generating_word()
     if word is None:
         # checks the values through probe_len + 1 and finds the witness
@@ -109,8 +108,7 @@ def verify_counting_identity(base: RealBase, range_max: int) -> CountingIdentity
     U and U' are the canonical and non-canonical systems of a simple
     Parry base whose expansion of 1 has n digits.
     """
-    if range_max < 0:
-        raise NumerationError("range must be >= 0")
+    _integer(range_max, "range", 0)
     d = base.require_parry()
     if not d.zero_tail:
         raise NumerationError(

@@ -38,6 +38,7 @@ from .errors import NumerationError
 from .words import (
     DigitWord,
     EPWord,
+    _integer,
     _is_integer,
     epword,
     format_epword,
@@ -129,16 +130,14 @@ class NumSys:
     # -- values ---------------------------------------------------------------
 
     def u(self, i: int) -> int:
-        if i < 0:
-            raise NumerationError("U is indexed from 0")
+        if not (type(i) is int and i >= 0):  # the common case inline: u is the hottest call
+            _integer(i, "i", 0)
         while len(self._u) <= i:
             self._extend()
         return self._u[i]
 
     def values(self, count: int) -> list:
-        if count < 0:
-            raise NumerationError("count must be >= 0")
-        return [self.u(i) for i in range(count)]
+        return [self.u(i) for i in range(_integer(count, "count", 0))]
 
     def _extend(self):
         i = len(self._u)
@@ -171,9 +170,7 @@ class NumSys:
 
     def rep(self, n: int) -> DigitWord:
         """The greedy representation of n; rep(0) is the empty word."""
-        if _integer(n, "n") < 0:
-            raise NumerationError("only nonnegative integers have representations")
-        if n == 0:
+        if _integer(n, "n", 0) == 0:
             return ()
         length = 1
         while self.u(length) <= n:
@@ -188,14 +185,12 @@ class NumSys:
         """Value of a digit word: sum of w_i U(|w| - i)."""
         total = 0
         for i, d in enumerate(w):
-            total += _integer(d, "a digit") * self.u(len(w) - 1 - i)
+            total += _integer(d, "a digit", 0) * self.u(len(w) - 1 - i)
         return total
 
     def lex_max(self, i: int) -> DigitWord:
         """rep(U(i) - 1): the lexicographically greatest member of length i."""
-        if i < 0:
-            raise NumerationError("length must be nonnegative")
-        cached = self._lexmax.get(i)
+        cached = self._lexmax.get(_integer(i, "i", 0))
         if cached is None:
             w = self.rep(self.u(i) - 1)
             cached = (0,) * (i - len(w)) + w
@@ -208,6 +203,8 @@ class NumSys:
         Decided by the suffix criterion: every suffix of w must be at
         most, lexicographically, the greatest member of its length.
         """
+        for d in w:
+            _integer(d, "a digit", 0)
         return suffixes_at_most(w, self.lex_max)
 
     # -- the Bertrand condition ----------------------------------------------------
@@ -267,9 +264,7 @@ class NumSys:
         ceil(U(1)/U(0)) - 1.  Neither the increasing check nor a declared
         alphabet bound can fail past U(1).
         """
-        if max_len < 1:
-            raise NumerationError("max_len must be >= 1")
-        _, fails_at = self.scan_generating_word(max_len + 1)
+        _, fails_at = self.scan_generating_word(_integer(max_len, "max_len", 1) + 1)
         if fails_at is None:
             self.u(1)  # by (4), the only value that can still break
             return BertrandReport(max_len, max_len, None)
@@ -305,6 +300,8 @@ class NumSys:
         periodic it is unbounded (Fatou 1906) and some letter leaves
         0..a_1: the scan ends without a limit.
         """
+        if limit is not None:
+            _integer(limit, "limit", 0)
         letters, order, start = self._letters()
         a = []
         q = 0  # the state of the walk of a_2 a_3 ... against a
@@ -386,12 +383,6 @@ class NumSys:
         if isinstance(g, BertrandRule):
             return f"NumSys(word={format_epword(g.word)})"
         return f"NumSys(initial={list(g.initial)}, coeffs={list(g.coeffs)}, addend={g.addend})"
-
-
-def _integer(value, what: str) -> int:
-    if not _is_integer(value):
-        raise NumerationError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _integers(values, what: str) -> tuple:

@@ -171,7 +171,7 @@ def count_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     return _variations(at_lo) - _variations([sign_at(q, hi) for q in chain])
 
 
-def format_poly(p: IntPoly, var: str = "X") -> str:
+def format_poly(p: IntPoly) -> str:
     if not p:
         return "0"
     parts = []
@@ -183,7 +183,7 @@ def format_poly(p: IntPoly, var: str = "X") -> str:
             term = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            term = f"{mag}{var}" if k == 1 else f"{mag}{var}^{k}"
+            term = f"{mag}X" if k == 1 else f"{mag}X^{k}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

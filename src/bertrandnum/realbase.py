@@ -57,6 +57,7 @@ from .words import (
     DigitWord,
     EPWord,
     _as_epword,
+    _integer,
     _is_integer,
     epword,
     format_epword,
@@ -150,12 +151,15 @@ class RealBase:
 
     @classmethod
     def integer(cls, b: int) -> "RealBase":
-        if not _is_integer(b) or b < 2:
-            raise NumerationError(f"integer base must be an integer >= 2, got {b!r}")
+        _integer(b, "integer base", 2)
         return cls((-b, 1), (Fraction(b), Fraction(b)), f"int:{b}")
 
     @classmethod
     def rational(cls, q) -> "RealBase":
+        """The base q > 1 for an int or a Fraction q.  A float is refused:
+        its binary value is rarely the rational meant."""
+        if not (_is_integer(q) or isinstance(q, Fraction)):
+            raise NumerationError(f"rational base must be an int or a Fraction, got {q!r}")
         q = Fraction(q)
         if q <= 1:
             raise NumerationError(f"base must be > 1, got {q}")
@@ -171,7 +175,7 @@ class RealBase:
         interval must contain exactly one of its roots, and that root must
         exceed 1.
         """
-        p = pl.squarefree_part(pl.poly(coeffs))
+        p = pl.squarefree_part(pl.poly(_integer(c, "a coefficient") for c in coeffs))
         if pl.degree(p) < 1:
             raise NumerationError("polynomial must be nonconstant")
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -402,8 +406,7 @@ class RealBase:
         beta is not Parry).  A base resolved once stays resolved at every
         depth.
         """
-        if depth < 1:
-            raise NumerationError("depth must be >= 1")
+        _integer(depth, "depth", 1)
         while self._resolved is None and len(self._digits) < depth:
             self._step()
         w = self._resolved

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import WordError
+from .errors import NumerationError, WordError
 
 #: A finite word over a digit alphabet: just a tuple of nonnegative ints.
 DigitWord = tuple
@@ -28,6 +28,16 @@ DigitWord = tuple
 def _is_integer(value) -> bool:
     # a bool or a float is not an integer input, even when it equals one
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """The one rule for an integer argument: an int that is not a bool,
+    and at least `least` when one is given."""
+    if not _is_integer(value):
+        raise NumerationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise NumerationError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _letter(d) -> int:
