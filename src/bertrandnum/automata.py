@@ -32,15 +32,17 @@ class Dfa:
     finals: frozenset
 
     def __post_init__(self):
+        # states and letters are ints that are not bools; one pass, as every
+        # shift session builds several automata
+        n = _integer(self.num_states, "num_states", 1)
         self.finals = frozenset(self.finals)
         for q in (self.initial, *self.finals):
-            if not 0 <= q < self.num_states:
+            if not 0 <= _integer(q, "a state") < n:
                 raise NumerationError(f"state {q} out of range")
         for (q, c), t in self.transitions.items():
-            if not (0 <= q < self.num_states and 0 <= t < self.num_states):
+            if not (0 <= _integer(q, "a state") < n and 0 <= _integer(t, "a state") < n):
                 raise NumerationError(f"transition ({q},{c})->{t} out of range")
-            if c < 0:
-                raise NumerationError("digits must be nonnegative")
+            _integer(c, "a letter", 0)
 
     def accepts(self, w: DigitWord) -> bool:
         q = self.initial

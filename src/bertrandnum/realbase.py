@@ -24,11 +24,14 @@ Digits of the expansion of 1 come from one exact engine for every base.
   reached so far, by digits or by earlier requests, so the printed ends
   of an enclosure depend on what was refined before; each cell is the
   one the plain Fraction bisection reaches.
-- **Repeats.**  An index maps the fingerprint (hash) of each remainder to
-  the indices k that have it.  A hit is only a hint: it is confirmed by
-  recomputing those r_j from r_0 and the digits, so a collision never
-  resolves a base and never hides a later repeat.  The index costs a key
-  and an index per digit, not a remainder.
+- **Repeats.**  An open-addressing table of 64-bit fingerprints (hash)
+  records which remainders have been seen, and nothing else: no index,
+  no remainder.  It is at most half full and doubles when it fills, so
+  it costs 16 to 32 bytes per digit.  A hit is only a hint: it is
+  confirmed by recomputing r_0, r_1, ... from the digits until one equals
+  the new remainder, so a collision never resolves a base, and it never
+  hides a later repeat, since every later hit on that fingerprint is
+  confirmed against all earlier remainders.
 
 The base owns its expansion of 1 and keeps whatever it has resolved.
 `RealBase.parry_class(depth)` is the one reader: its `word` is the greedy
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,9 +71,11 @@ from .words import (
 
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
 
-# The key of a remainder in the repeat index.  Only a hint: equal keys are
-# confirmed exactly, so any function of the remainder would be correct.
+# The key of a remainder in the repeat table.  Only a hint: equal keys are
+# confirmed exactly, so any function of the remainder to a signed 64-bit
+# int would be correct.
 _fingerprint = hash
+_TABLE_SIZE = 8  # initial slots of the repeat table, a power of two
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,9 @@ class RealBase:
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
-        self._seen: dict = {}  # fingerprint -> index k, or a list of them
+        # the repeat table: fingerprints of r_0..r_k, 0 marking an empty slot
+        self._seen = array("q", [0]) * _TABLE_SIZE
+        self._nseen = 0  # the occupied slots of _seen
         self._resolved: EPWord | None = None
 
     @property
@@ -173,11 +181,17 @@ class RealBase:
 
         The polynomial is replaced by its primitive square-free part; the
         interval must contain exactly one of its roots, and that root must
-        exceed 1.
+        exceed 1.  Each end of the interval is an int or a Fraction; a float
+        is refused, as by `rational`.
         """
         p = pl.squarefree_part(pl.poly(_integer(c, "a coefficient") for c in coeffs))
         if pl.degree(p) < 1:
             raise NumerationError("polynomial must be nonconstant")
+        for end in interval:
+            if not (_is_integer(end) or isinstance(end, Fraction)):
+                raise NumerationError(
+                    f"an interval end must be an int or a Fraction, got {end!r}"
+                )
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         if lo >= hi:
             raise NumerationError(f"bad isolating interval ({lo}, {hi})")
@@ -351,25 +365,37 @@ class RealBase:
             "interval refinement did not separate a floor boundary"
         )
 
-    def _first_equal(self, rem, indices) -> int | None:
-        """The first of the ascending `indices` j with r_j == rem, or None.
+    def _first_equal(self, rem) -> int | None:
+        """The first j with r_j == rem among the remainders so far, or None.
 
         The remainders are recomputed from r_0 and the digits, so a
         fingerprint match is only ever taken as a hint."""
-        r, i = self._start(), 0
-        for j in indices:
-            while i < j:
-                r = self._minus(self._mul_beta(r), self._digits[i])
-                i += 1
+        r = self._start()
+        for j, d in enumerate(self._digits):
             if r == rem:
                 return j
+            r = self._minus(self._mul_beta(r), d)
         return None
+
+    def _grow(self):
+        """Double the repeat table and reinsert its fingerprints."""
+        table = array("q", [0]) * (2 * len(self._seen))
+        mask = len(table) - 1
+        for key in self._seen:
+            if key:
+                i = key & mask
+                while table[i]:
+                    i = (i + 1) & mask
+                table[i] = key
+        self._seen = table
 
     def _step(self):
         """Compute one more digit of the expansion of 1."""
         if self._rem is None:
             self._rem = self._start()
-            self._seen[_fingerprint(self._rem)] = 0
+            key = _fingerprint(self._rem) or 1
+            self._seen[key & (len(self._seen) - 1)] = key
+            self._nseen = 1
         s = self._mul_beta(self._rem)
         e, exact = self._floor_vec(s)
         if e < 0:
@@ -379,19 +405,25 @@ class RealBase:
             self._resolved = epword(tuple(self._digits), (0,))
             return
         rem = self._minus(s, e)
-        k = len(self._digits)
-        key = _fingerprint(rem)
-        hits = self._seen.get(key)
-        if hits is None:
-            self._seen[key] = k
+        # probe the repeat table by linear probing; 0 marks an empty slot,
+        # so a fingerprint of 0 is stored as 1
+        key = _fingerprint(rem) or 1
+        table = self._seen
+        mask = len(table) - 1
+        i = key & mask
+        while t := table[i]:
+            if t == key:
+                j = self._first_equal(rem)
+                if j is not None:
+                    self._resolved = epword(tuple(self._digits[:j]), tuple(self._digits[j:]))
+                    return
+                break  # a collision: the fingerprint is already recorded
+            i = (i + 1) & mask
         else:
-            if isinstance(hits, int):
-                hits = [hits]
-            j = self._first_equal(rem, hits)
-            if j is not None:
-                self._resolved = epword(tuple(self._digits[:j]), tuple(self._digits[j:]))
-                return
-            self._seen[key] = hits + [k]
+            table[i] = key
+            self._nseen += 1
+            if 2 * self._nseen > len(table):
+                self._grow()
         self._rem = rem
 
     def parry_class(self, depth: int = DEFAULT_DEPTH) -> ParryClass:

@@ -107,6 +107,42 @@ def test_algebraic_coefficients_must_be_integers(coeffs):
         RealBase.algebraic(coeffs, (1, 2))
 
 
+@pytest.mark.parametrize("interval", [(1.1, 2), (1, 2.0), (True, 2), ("1", 2), (1, None)])
+def test_algebraic_interval_ends_must_be_ints_or_fractions(interval):
+    with pytest.raises(NumerationError, match="an interval end must be an int or a Fraction"):
+        RealBase.algebraic((-1, -1, 1), interval)
+
+
+def test_algebraic_interval_from_ints_and_fractions():
+    assert RealBase.algebraic((-1, -1, 1), (Fraction(11, 10), 2)).source == "poly:1,-1,-1@(11/10,2)"
+    assert RealBase.algebraic((-1, -1, 1), (1, Fraction(2))).source == "poly:1,-1,-1@(1,2)"
+
+
+# a Dfa with one bad state or letter -> the message it raises
+BAD_DFAS = {
+    "num_states-float": ((2.0, 0, {}, {0}), "num_states must be an integer, got 2.0"),
+    "num_states-bool": ((True, 0, {}, {0}), "num_states must be an integer, got True"),
+    "num_states-zero": ((0, 0, {}, set()), "num_states must be >= 1, got 0"),
+    "initial-float": ((2, 0.0, {}, {0}), "a state must be an integer, got 0.0"),
+    "initial-bool": ((2, False, {}, {0}), "a state must be an integer, got False"),
+    "final-float": ((2, 0, {}, {1.0}), "a state must be an integer, got 1.0"),
+    "final-string": ((2, 0, {}, {"1"}), "a state must be an integer, got '1'"),
+    "source-float": ((2, 0, {(0.0, 0): 1}, {0}), "a state must be an integer, got 0.0"),
+    "target-float": ((2, 0, {(0, 0): 1.0}, {0}), "a state must be an integer, got 1.0"),
+    "target-bool": ((2, 0, {(0, 0): True}, {0}), "a state must be an integer, got True"),
+    "letter-half": ((2, 0, {(0, 0.5): 1}, {0}), "a letter must be an integer, got 0.5"),
+    "letter-bool": ((2, 0, {(0, True): 1}, {0}), "a letter must be an integer, got True"),
+    "letter-negative": ((2, 0, {(0, -1): 1}, {0}), "a letter must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DFAS))
+def test_dfa_states_and_letters_must_be_integers(name):
+    args, message = BAD_DFAS[name]
+    with pytest.raises(NumerationError, match=f"^{message}$"):
+        Dfa(*args)
+
+
 @pytest.mark.parametrize(
     "args",
     [(1, 5, {}, {0}), (1, -1, {}, {0}), (1, 0, {}, {7}), (2, 0, {(0, 1): 1}, {0, -1})],
