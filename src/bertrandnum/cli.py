@@ -315,8 +315,31 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, letting go of the parser once its text
+    is built.
+
+    A formatter and its root section refer to each other, and its sections
+    hold the parser's actions until `format_help` reads them; so that
+    cycle would keep the parser alive after `--help`, a usage error or
+    `add_subparsers`.  `format_help` empties the sections it has read."""
+
+    def format_help(self):
+        text = super().format_help()
+        self._root_section.items.clear()
+        return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that formats with `_Formatter`; its subparsers
+    are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bertrandnum",
         description="Real-base expansions and Bertrand numeration systems",
     )
@@ -415,9 +438,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _free(parser: argparse.ArgumentParser):
+    """Break the parser's reference cycles: each action's `container`, a
+    link back to the parser or group whose action list holds it.  With
+    `_Formatter`, no other cycle holds the parser, so the parser and its
+    subparsers are freed when the last reference goes, without waiting
+    for the cyclic collector."""
+    for action in parser._actions:
+        action.container = None
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _free(sub)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        _free(parser)
     try:
         return args.func(args)
     except NumerationError as exc:

@@ -14,9 +14,13 @@ Digits of the expansion of 1 come from one exact engine for every base.
 - **Floors.**  Each floor is certified by a Horner evaluation over the
   isolating interval, which is bisected until both ends of the enclosure
   share their integer part, or until the upper one is exactly the value (a
-  gcd with p locates the common root).  A remainder with no beta terms is
-  the rational c_0 / D and needs no interval.  No floating point ever
-  enters the digit path.
+  gcd with p locates the common root).  The evaluation is in integers:
+  beta's cell is a / den and b / den, the accumulator's ends are integers
+  over den^j, the signs of the accumulator pick the ends of each product
+  with beta, and the floors are integer floor divisions.  Its ends are
+  the rationals a `Fraction` interval Horner loop reaches.  A remainder
+  with no beta terms is the rational c_0 / D and needs no interval.  No
+  floating point ever enters the digit path.
 - **Enclosure.**  The isolating interval is refined by dyadic bisection
   in integers: both ends over one denominator that doubles per level, one
   exact sign test per level against the stored sign of p at the lower
@@ -52,6 +56,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import DEFAULT_DEPTH, VARIANTS
 from . import polynomials as pl
@@ -248,6 +253,14 @@ class RealBase:
         k = x.bit_length() - y.bit_length()  # x < y * 2^(k+1), x >= y * 2^(k-1)
         return k if x < y << k else k + 1
 
+    def _cell(self) -> tuple[int, int, int]:
+        """The enclosure as integers (a, b, den): [a / den, b / den]."""
+        lo, hi = self._ival
+        den = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        return a, b, den
+
     def _bisect(self, levels: int):
         """Halve the enclosure `levels` times, keeping the half that holds
         beta; a midpoint that is a root collapses it and ends the loop.
@@ -258,12 +271,9 @@ class RealBase:
         are built once, at the end, so every cell is the one the plain
         Fraction bisection reaches.
         """
-        lo, hi = self._ival
-        if lo == hi:
+        if self._ival[0] == self._ival[1]:
             return
-        den = math.lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
+        a, b, den = self._cell()
         for _ in range(levels):
             mid, a, b, den = a + b, a << 1, b << 1, den << 1
             s = pl.sign_at_ratio(self.poly, mid, den)
@@ -327,13 +337,30 @@ class RealBase:
         """s - d for an integer d; s stays in lowest terms."""
         return (s[0] - d * s[-1],) + s[1:]
 
-    def _eval_interval(self, s) -> Interval:
-        # an enclosure of the numerator of s at beta, by Horner's rule
-        acc = Interval.point(0)
-        beta = Interval(self._ival[0], self._ival[1])
-        for c in reversed(s[:-1]):
-            acc = acc * beta + c
-        return acc
+    def _eval_ends(self, s) -> tuple[int, int, int]:
+        """An enclosure of the numerator of s at beta, by Horner's rule over
+        the enclosure [a / den, b / den]: integers (p, q, scale) for the
+        interval [p / scale, q / scale].
+
+        The accumulator's ends stay integers over scale = den^j.  As
+        0 < a <= b, the signs of p and q pick the ends of its product with
+        beta, the min and max of the four end products; so the ends are
+        exactly those of the same Horner loop in `Fraction` intervals.
+        """
+        a, b, den = self._cell()
+        p = q = s[-2]
+        scale = 1
+        for c in reversed(s[:-2]):
+            scale *= den
+            if p >= 0:
+                p, q = p * a, q * b
+            elif q <= 0:
+                p, q = p * b, q * a
+            else:
+                p, q = p * b, q * b
+            c *= scale
+            p, q = p + c, q + c
+        return p, q, scale
 
     def _is_exactly(self, s, m: int) -> bool:
         # decide s(beta) == m by locating a common root of the defining
@@ -354,8 +381,8 @@ class RealBase:
             q, r = divmod(s[0], den)
             return q, r == 0
         for _ in range(REFINEMENT_BUDGET):
-            enc = self._eval_interval(s)
-            flo, fhi = enc.lo // den, enc.hi // den
+            p, q, scale = self._eval_ends(s)
+            flo, fhi = p // (scale * den), q // (scale * den)
             if flo == fhi:
                 return flo, False
             if fhi == flo + 1 and self._is_exactly(s, fhi):
@@ -444,7 +471,7 @@ class RealBase:
         w = self._resolved
         if w is None:
             kind = "not_parry" if self._is_non_integer_rational() else "unresolved"
-            return ParryClass(kind, tuple(self._digits[:depth]), depth=depth)
+            return ParryClass(kind, tuple(islice(self._digits, depth)), depth=depth)
         if w.zero_tail:
             return ParryClass("simple", w, n=len(w.support))
         return ParryClass("nonsimple", w, m=len(w.pre), n=len(w.per))

@@ -637,6 +637,16 @@ class FractionBisection:
         return self.lo, self.hi
 
 
+def horner_interval(coeffs, beta: Interval) -> Interval:
+    """The polynomial with low-first `coeffs` over the interval `beta`, by
+    Horner's rule in `Fraction` intervals: the reference for the integer
+    ends of `RealBase._eval_ends`."""
+    acc = Interval.point(0)
+    for c in reversed(coeffs):
+        acc = acc * beta + c
+    return acc
+
+
 def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
     """The greedy expansion of 1 of the root > 1 of `poly` in `interval`,
     by the remainder loop over Q(beta) with `Fraction` coefficients.
@@ -669,9 +679,7 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
         if not any(vec[1:]):
             return math.floor(vec[0]), vec[0].denominator == 1
         for _ in range(256):
-            acc = Interval.point(0)
-            for c in reversed(vec):
-                acc = acc * Interval(box.lo, box.hi) + c
+            acc = horner_interval(vec, Interval(box.lo, box.hi))
             flo, fhi = math.floor(acc.lo), math.floor(acc.hi)
             if flo == fhi:
                 return flo, False

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -485,6 +487,36 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dbeta", "--base", "int:3", "--depth", "8"], 0), (["--help"], 0), (["no-such-command"], 2)],
+    ids=["command", "help", "usage-error"],
+)
+def test_main_leaves_no_parser_in_reference_cycles(capsys, argv, code):
+    # with the collector off, whatever main leaves in reference cycles is
+    # what the next collection finds; DEBUG_SAVEALL keeps it in gc.garbage
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        gc.collect()
+        kinds = (argparse.ArgumentParser, argparse.Action)
+        left = [type(obj).__name__ for obj in gc.garbage if isinstance(obj, kinds)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert status == code
+    assert left == []
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from bertrandnum import (
     quasi_greedy_of,
 )
 from bertrandnum import polynomials as pl
+from bertrandnum.intervals import Interval
 
 from conftest import census_sextics, golden_ratio, golden_ratio_squared, tribonacci
 from oracles import (
@@ -27,6 +28,7 @@ from oracles import (
     eval_at,
     floor_of,
     fraction_expansion,
+    horner_interval,
     lex_cmp,
     poly_mul,
     rational_digits,
@@ -645,6 +647,53 @@ def test_rational_midpoint_collapses_the_enclosure():
     assert enc.lo == enc.hi == 5
 
 
+# ---------------------------------------------------------------------------
+# the integer Horner ends against the Fraction interval Horner
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(10**6), 10**6) | st.just(0), min_size=1, max_size=8),
+    a=st.integers(1, 2**40),
+    width=st.integers(0, 2**40),
+    level=st.integers(0, 60),
+    den=st.integers(1, 50),
+)
+@example(coeffs=[1, 2, 3], a=1, width=2, level=0, den=1)  # nonnegative throughout
+@example(coeffs=[-1, -2, -3], a=1, width=2, level=0, den=1)  # nonpositive throughout
+@example(coeffs=[0, -2, 1], a=1, width=2, level=0, den=1)  # [-1, 1] straddles 0
+def test_integer_ends_equal_the_fraction_horner(coeffs, a, width, level, den):
+    base = parse_base("poly:1,-1,-1@(1,2)")
+    base._ival = [Fraction(a, 2**level), Fraction(a + width, 2**level)]
+    p, q, scale = base._eval_ends(tuple(coeffs) + (den,))
+    ref = horner_interval(coeffs, Interval(*base._ival))
+    assert (Fraction(p, scale), Fraction(q, scale)) == (ref.lo, ref.hi)
+    assert (p // (scale * den), q // (scale * den)) == (ref.lo // den, ref.hi // den)
+
+
+def test_fraction_horner_in_the_engine_changes_nothing(monkeypatch):
+    # the engine with the reference in place of its integer ends finds the
+    # same digits and bisects to the same final cell; the non-monic base
+    # has remainders over a denominator D > 1
+    import bertrandnum.realbase as rb
+
+    specs = census_sextics()[::27] + ("poly:2,-5,1@(1,3)",)
+    expected = []
+    for spec in specs:
+        base = parse_base(spec)
+        expected.append((base.parry_class(2000), base.enclosure()))
+
+    def reference_ends(self, s):
+        enc = horner_interval(s[:-1], self.enclosure())
+        scale = math.lcm(enc.lo.denominator, enc.hi.denominator)
+        return int(enc.lo * scale), int(enc.hi * scale), scale
+
+    monkeypatch.setattr(rb.RealBase, "_eval_ends", reference_ends)
+    for spec, want in zip(specs, expected):
+        base = parse_base(spec)
+        assert (base.parry_class(2000), base.enclosure()) == want, spec
+
+
 @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)], ids=str)
 @pytest.mark.parametrize("spec", ["poly:1,-1,-1@(1,2)", "int:3"])
 def test_enclosure_rejects_nonpositive_width(spec, width):
@@ -653,7 +702,7 @@ def test_enclosure_rejects_nonpositive_width(spec, width):
 
 
 def test_expansion_memory_per_digit():
-    # the repeat index keeps a fingerprint and an index per digit, not the
+    # the repeat table keeps one 64-bit fingerprint per digit, not the
     # remainder itself (a dict of Fraction remainders took about 535 B)
     base = parse_base(UNRESOLVED_SEXTIC)
     tracemalloc.start()
