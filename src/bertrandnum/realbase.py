@@ -12,22 +12,28 @@ Digits of the expansion of 1 come from one exact engine for every base.
   coefficient of p, so it is 1 for every monic p.  This form is
   canonical, so tuple equality is equality in Q(beta).
 - **Floors.**  Each floor is certified by a Horner evaluation over the
-  isolating interval, which is bisected until both ends of the enclosure
-  share their integer part, or until the upper one is exactly the value (a
-  gcd with p locates the common root).  The evaluation is in integers:
-  beta's cell is a / den and b / den, the accumulator's ends are integers
-  over den^j, the signs of the accumulator pick the ends of each product
-  with beta, and the floors are integer floor divisions.  Its ends are
-  the rationals a `Fraction` interval Horner loop reaches.  A remainder
-  with no beta terms is the rational c_0 / D and needs no interval.  No
-  floating point ever enters the digit path.
-- **Enclosure.**  The isolating interval is refined by dyadic bisection
-  in integers: both ends over one denominator that doubles per level, one
-  exact sign test per level against the stored sign of p at the lower
-  end.  `RealBase.enclosure(width)` returns the deepest dyadic cell
-  reached so far, by digits or by earlier requests, so the printed ends
-  of an enclosure depend on what was refined before; each cell is the
-  one the plain Fraction bisection reaches.
+  enclosure of beta, which is bisected until both ends of the value's
+  enclosure share their integer part, or until the upper one is exactly
+  the value (a gcd with p locates the common root).  That exact-zero test
+  is asked at most once per floor: its answer is the same on every cell
+  that isolates beta (`_is_exactly`), and once the two floors are
+  adjacent the upper one stays the only candidate.  The evaluation is in
+  integers: the accumulator's ends are integers over den^j, the signs of
+  the accumulator pick the ends of each product with beta, and the floors
+  are integer floor divisions.  Its ends are the rationals a `Fraction`
+  interval Horner loop reaches.  A remainder with no beta terms is the
+  rational c_0 / D and needs no interval.  No floating point ever enters
+  the digit path.
+- **Enclosure.**  The base keeps beta's cell as integers, a / den and
+  b / den, with the number of bisections that led to it.  Dyadic
+  bisection updates them in place: den doubles per level, and each level
+  is one exact sign test at the midpoint against the stored sign of p at
+  the lower end.  Neither bisection nor the Horner loop builds a
+  `Fraction`; `RealBase.enclosure(width)` builds an `Interval` only when
+  asked.  It returns the deepest dyadic cell reached so far, by digits or
+  by earlier requests, so the printed ends of an enclosure depend on what
+  was refined before; each cell is the one the plain Fraction bisection
+  reaches at the same level.
 - **Repeats.**  An open-addressing table of 64-bit fingerprints (hash)
   records which remainders have been seen, and nothing else: no index,
   no remainder.  It is at most half full and doubles when it fills, so
@@ -44,9 +50,10 @@ prefix while unresolved); `digits_prefix` and `require_parry` read
 through it.  Everything built from a base (its systems, automata and
 enclosures) asks for the expansion at the default depth, so resolving a
 base deeper once with `require_parry(depth)` serves every later builder.
-A non-integer rational base is decided "not Parry" at any depth, however
-its polynomial is written: a Parry number is an algebraic integer (Parry
-1960).
+A base recovered from its expansion (`base_from_expansion`, a "parry:"
+spec) starts resolved to that word.  A non-integer rational base is
+decided "not Parry" at any depth, however its polynomial is written: a
+Parry number is an algebraic integer (Parry 1960).
 """
 
 from __future__ import annotations
@@ -134,9 +141,16 @@ class RealBase:
 
     def __init__(self, coeffs, interval, source=None):
         self.poly = coeffs  # low-first primitive int tuple, leading coefficient > 0
-        self._ival = list(interval)  # mutable enclosure; [q, q] for a rational q
+        # the enclosure [a / den, b / den], bisected `_level` times from the
+        # isolating interval; a == b for a rational beta
+        lo, hi = interval
+        den = math.lcm(lo.denominator, hi.denominator)
+        self._a = lo.numerator * (den // lo.denominator)
+        self._b = hi.numerator * (den // hi.denominator)
+        self._den = den
+        self._level = 0
         # the sign of p at the lower end, which bisection never changes
-        self._lo_sign = pl.sign_at(coeffs, interval[0])
+        self._lo_sign = pl.sign_at(coeffs, lo)
         self.source = source  # textual spec this base was parsed from
         self._digits: list[int] = []
         self._rem = None  # remainder after the digits computed so far
@@ -241,50 +255,43 @@ class RealBase:
             if width <= 0:
                 raise NumerationError(f"enclosure width must be > 0, got {width}")
             self._bisect(self._levels_below(width))
-        return Interval(self._ival[0], self._ival[1])
+        return Interval(Fraction(self._a, self._den), Fraction(self._b, self._den))
 
     def _levels_below(self, width: Fraction) -> int:
         """The number of halvings that take the enclosure below `width`:
-        the least k with (hi - lo) / 2^k < width, and 0 for a point."""
-        w = self._ival[1] - self._ival[0]
-        if w < width:
+        the least k with (b - a) / (den 2^k) < width, and 0 for a point."""
+        x = (self._b - self._a) * width.denominator
+        y = width.numerator * self._den
+        if x < y:
             return 0
-        x, y = w.numerator * width.denominator, width.numerator * w.denominator
         k = x.bit_length() - y.bit_length()  # x < y * 2^(k+1), x >= y * 2^(k-1)
         return k if x < y << k else k + 1
-
-    def _cell(self) -> tuple[int, int, int]:
-        """The enclosure as integers (a, b, den): [a / den, b / den]."""
-        lo, hi = self._ival
-        den = math.lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
-        return a, b, den
 
     def _bisect(self, levels: int):
         """Halve the enclosure `levels` times, keeping the half that holds
         beta; a midpoint that is a root collapses it and ends the loop.
 
-        Both ends are integers over one running denominator that doubles
-        per level, and each level is one exact sign test at the midpoint,
-        compared with the stored sign at the lower end.  The two Fractions
-        are built once, at the end, so every cell is the one the plain
-        Fraction bisection reaches.
+        The ends are integers over one denominator that doubles per level,
+        and each level is one exact sign test at the midpoint, compared
+        with the stored sign at the lower end, so every cell is the one
+        the plain Fraction bisection reaches at the same level.
         """
-        if self._ival[0] == self._ival[1]:
+        a, b, den = self._a, self._b, self._den
+        if a == b:
             return
-        a, b, den = self._cell()
+        poly, lo_sign = self.poly, self._lo_sign
         for _ in range(levels):
             mid, a, b, den = a + b, a << 1, b << 1, den << 1
-            s = pl.sign_at_ratio(self.poly, mid, den)
+            self._level += 1
+            s = pl.sign_at_ratio(poly, mid, den)
             if s == 0:
                 a = b = mid
                 break
-            if s == self._lo_sign:
+            if s == lo_sign:
                 a = mid
             else:
                 b = mid
-        self._ival[0], self._ival[1] = Fraction(a, den), Fraction(b, den)
+        self._a, self._b, self._den = a, b, den
 
     def _is_non_integer_rational(self) -> bool:
         """Whether beta is a rational number that is not an integer,
@@ -293,15 +300,19 @@ class RealBase:
         By the rational root theorem a rational root of the primitive p
         has a denominator dividing the leading coefficient: a monic p has
         none, and otherwise, once the enclosure is narrower than 1/lead,
-        the one candidate k/lead is tested exactly.
+        the one candidate k/lead, the least such number >= a / den, is
+        tested exactly.
         """
         lead = self.poly[-1]
         if lead == 1:
             return False
         self.enclosure(Fraction(1, lead))
-        lo, hi = self._ival
-        q = Fraction(math.ceil(lo * lead), lead)
-        return q <= hi and q.denominator > 1 and pl.sign_at(self.poly, q) == 0
+        k = -(-self._a * lead // self._den)
+        return (
+            k * self._den <= self._b * lead
+            and k % lead != 0
+            and pl.sign_at_ratio(self.poly, k, lead) == 0
+        )
 
     def approx(self) -> float:
         return float(self.enclosure(Fraction(1, 10**12)).mid)
@@ -323,8 +334,8 @@ class RealBase:
             return (0,) + rem[: n - 1] + (den,)
         lead = p[n]
         if lead == 1:
-            return (-top * p[0],) + tuple(rem[j - 1] - top * p[j] for j in range(1, n)) + (den,)
-        out = [-top * p[0]] + [lead * rem[j - 1] - top * p[j] for j in range(1, n)]
+            return (-top * p[0], *[r - top * c for r, c in zip(rem, p[1:n])], den)
+        out = [-top * p[0]] + [lead * r - top * c for r, c in zip(rem, p[1:n])]
         den *= lead
         g = math.gcd(den, *out)
         if g > 1:
@@ -347,7 +358,7 @@ class RealBase:
         beta, the min and max of the four end products; so the ends are
         exactly those of the same Horner loop in `Fraction` intervals.
         """
-        a, b, den = self._cell()
+        a, b, den = self._a, self._b, self._den
         p = q = s[-2]
         scale = 1
         for c in reversed(s[:-2]):
@@ -363,30 +374,44 @@ class RealBase:
         return p, q, scale
 
     def _is_exactly(self, s, m: int) -> bool:
-        # decide s(beta) == m by locating a common root of the defining
-        # polynomial and the numerator of s - m inside the isolating interval
+        """Whether s(beta) == m, by locating a common root of the defining
+        polynomial p and the numerator of s - m inside the enclosure.
+
+        g = gcd(p, c) divides the square-free p, and every cell isolates
+        beta alone among the roots of p, so g changes sign across a cell
+        exactly when g(beta) = 0: the answer is the same on every cell.
+        """
         c = pl.primitive(self._minus(s, m)[:-1])
         if not c:
             return True
         g = pl.gcd(self.poly, c)
         if pl.degree(g) < 1:
             return False
-        lo, hi = self._ival
-        return pl.sign_at(g, lo) * pl.sign_at(g, hi) < 0
+        den = self._den
+        return pl.sign_at_ratio(g, self._a, den) * pl.sign_at_ratio(g, self._b, den) < 0
 
     def _floor_vec(self, s) -> tuple[int, bool]:
-        """Floor of an element of Q(beta); returns (floor, is_exact_integer)."""
+        """Floor of an element of Q(beta); returns (floor, is_exact_integer).
+
+        The enclosures of s(beta) are nested, so once the floors of their
+        ends are adjacent, the upper one is the only candidate for an exact
+        integer until they meet; `_is_exactly` gives the same answer on
+        every cell, so it is asked once per floor.
+        """
         den = s[-1]
         if not any(s[1:-1]):
             q, r = divmod(s[0], den)
             return q, r == 0
+        tested = False
         for _ in range(REFINEMENT_BUDGET):
             p, q, scale = self._eval_ends(s)
             flo, fhi = p // (scale * den), q // (scale * den)
             if flo == fhi:
                 return flo, False
-            if fhi == flo + 1 and self._is_exactly(s, fhi):
-                return fhi, True
+            if fhi == flo + 1 and not tested:
+                if self._is_exactly(s, fhi):
+                    return fhi, True
+                tested = True
             self._bisect(1)
         raise RefinementBudgetError(
             "interval refinement did not separate a floor boundary"
@@ -518,7 +543,9 @@ def base_from_expansion(d: EPWord) -> RealBase:
     X^{n-j} when d = t1..tn followed by zeros, and otherwise, writing d
     with preperiod length m and period length n,
     (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
-    That polynomial has exactly one root > 1, which is beta.
+    That polynomial has exactly one root > 1, which is beta.  By Parry's
+    theorem d is then beta's greedy expansion of 1, so the base starts
+    resolved to d, at every depth, and the engine never finds it again.
     """
     d = _as_epword(d)
     if d.digit(0) < 1:
@@ -529,16 +556,18 @@ def base_from_expansion(d: EPWord) -> RealBase:
         raise NumerationError(f"{d} is not a valid greedy expansion of 1")
     p = char_poly(d, "canonical")
     if pl.degree(p) == 1:
-        return RealBase.rational(Fraction(-p[0], p[1]))
-    # isolate the unique root > 1: the polynomial is negative at 1 and
-    # eventually positive
-    lo = Fraction(1)
-    if pl.sign_at(p, lo) >= 0:
-        raise NumerationError(f"no base > 1 realizes {d}")
-    hi = Fraction(d.digit(0) + 2)
-    while pl.sign_at(p, hi) <= 0:
-        hi *= 2
-    base = RealBase.algebraic(p, (lo, hi))
+        base = RealBase.rational(Fraction(-p[0], p[1]))
+    else:
+        # isolate the unique root > 1: the polynomial is negative at 1 and
+        # eventually positive
+        lo = Fraction(1)
+        if pl.sign_at(p, lo) >= 0:
+            raise NumerationError(f"no base > 1 realizes {d}")
+        hi = Fraction(d.digit(0) + 2)
+        while pl.sign_at(p, hi) <= 0:
+            hi *= 2
+        base = RealBase.algebraic(p, (lo, hi))
+    base._resolved = d  # an EPWord is canonical, as the engine's words are
     return base
 
 

@@ -387,6 +387,34 @@ def test_counting_identity(capsys):
     assert out == "U'(i+2) = U(i+2) + U'(i) holds for 0 <= i <= 10"
 
 
+LONG_WORD = "2" + "1" * 70  # its expansion resolves only at digit 71
+LONG_PARRY = f"parry:{LONG_WORD}(0)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["automaton", "--beta", LONG_PARRY, "--variant", "canonical"],
+        ["build", "--beta", LONG_PARRY, "--variant", "noncanonical", "--count", "5"],
+        ["analyze", "--system", f"bertrand:{LONG_PARRY}", "--beta", LONG_PARRY, "--imax", "30"],
+        ["counting-identity", "--beta", LONG_PARRY, "--range", "5"],
+    ],
+    ids=["automaton", "build", "analyze", "counting-identity"],
+)
+def test_a_base_written_as_its_expansion_keeps_it(capsys, argv):
+    # these commands read the expansion at the default depth 64
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize(
+    "cmd, want",
+    [("dbeta", f"{LONG_WORD}(0) [simple Parry, n=71]"), ("dstar", f"({LONG_WORD[:-1]}0)")],
+)
+def test_a_parry_base_prints_its_word_at_any_depth(capsys, cmd, want):
+    assert run(capsys, cmd, "--base", LONG_PARRY, "--depth", "5")[:2] == (0, want)
+
+
 def test_analyze_json(capsys):
     system = str(FIXTURES / "zeckendorf.json")
     code, out, _ = run(

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -219,12 +221,34 @@ def small_valid_expansions(max_total=5, max_digit=3):
                         yield w
 
 
+def fresh_engine(base: RealBase) -> RealBase:
+    """The same base on its current enclosure with no digits and nothing
+    resolved: its engine must find the expansion of 1 itself."""
+    enc = base.enclosure()
+    return RealBase(base.poly, (enc.lo, enc.hi))
+
+
 def test_base_from_expansion_roundtrip_enumerated():
-    words = list(small_valid_expansions())
-    assert len(words) > 40
+    # every strict Parry word of up to 6 letters over 0..3: a fresh engine
+    # finds it within m + n digits, and the base recovered from the word
+    # starts with that answer, at every depth
+    words = list(small_valid_expansions(max_total=6))
+    assert len(words) > 3000
     for w in words:
-        base = base_from_expansion(w)
-        assert base.parry_class(80).word == w, w
+        seeded = base_from_expansion(w)
+        want = fresh_engine(seeded).parry_class(len(w.pre) + len(w.per) + 1)
+        assert want.word == w, w
+        assert seeded.parry_class(1) == want == seeded.parry_class(), w
+        assert seeded._digits == []  # the engine never ran
+
+
+def test_a_long_parry_word_needs_no_depth():
+    # the engine finds 2 1^70 (0) only at digit 71, past the default depth 64
+    w = epword((2,) + (1,) * 70, (0,))
+    base = parse_base(f"parry:{format_epword(w)}")
+    assert fresh_engine(base).parry_class().kind == "unresolved"
+    assert base.require_parry() == w
+    assert base.digits_prefix(100) == w.prefix(100)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +559,22 @@ def test_census_matches_fraction_loop():
         assert (cls.word, cls.kind) == oracle_class(parse_base(spec), 2000), spec
 
 
+CENSUS_SEED = Path(__file__).resolve().parent.parent / "bench" / "census_seed.json"
+
+
+def test_census_keeps_the_seed_record():
+    # every sextic of the census keeps the kind, m and n recorded in
+    # bench/census_seed.json at its depth 11000
+    record = json.loads(CENSUS_SEED.read_text())
+    rows, specs = record["rows"], census_sextics()
+    assert record["depth"] == 11000 and len(rows) == len(specs) == 1080
+    for row, spec in zip(rows, specs):
+        a, b, c = row["abc"]
+        assert spec.startswith(f"poly:1,{a},{b},{c},{b},{a},1@"), (row, spec)
+        cls = parse_base(spec).parry_class(11000)
+        assert (cls.kind, cls.m, cls.n) == (row["kind"], row["m"], row["n"]), spec
+
+
 UNRESOLVED_SEXTIC = "poly:1,-3,-1,-7,-1,-3,1@(1,8)"
 
 
@@ -544,7 +584,7 @@ def collision_cases():
     yield "tribonacci", tribonacci, 64
     yield "7/3", lambda: parse_base("rat:7/3"), 64
     for w in small_valid_expansions(max_total=4):
-        yield str(w), lambda w=w: base_from_expansion(w), 64
+        yield str(w), lambda w=w: fresh_engine(base_from_expansion(w)), 64
     for spec in (census_sextics()[0], "poly:1,-6,-2,7,-2,-6,1@(1,8)", UNRESOLVED_SEXTIC):
         yield spec, lambda spec=spec: parse_base(spec), 300
 
@@ -575,6 +615,32 @@ def test_coarse_fingerprint_changes_no_answer(monkeypatch):
     monkeypatch.setattr(rb, "_fingerprint", lambda rem: hash(rem) % 7 << 8)
     for (name, make, depth), want in zip(cases, expected):
         assert make().parry_class(depth) == want, name
+
+
+def test_one_exact_zero_test_per_floor(monkeypatch):
+    # the answer of _is_exactly is the same on every cell, so a floor asks
+    # it at most once however many bisections it takes
+    import bertrandnum.realbase as rb
+
+    floor_vec, is_exactly = rb.RealBase._floor_vec, rb.RealBase._is_exactly
+    tests = []  # _is_exactly calls per _floor_vec
+
+    def counted_floor(self, s):
+        tests.append(0)
+        return floor_vec(self, s)
+
+    def counted_test(self, s, m):
+        tests[-1] += 1
+        return is_exactly(self, s, m)
+
+    monkeypatch.setattr(rb.RealBase, "_floor_vec", counted_floor)
+    monkeypatch.setattr(rb.RealBase, "_is_exactly", counted_test)
+    for spec in census_sextics()[::27]:
+        parse_base(spec).parry_class(2000)
+    for _, make, depth in collision_cases():
+        make().parry_class(depth)
+    assert max(tests) == 1
+    assert sum(tests) > 100
 
 
 def test_repeat_table_doubles_at_half_full():
@@ -639,6 +705,52 @@ def test_bisection_matches_fraction_reference_on_small_words():
     assert_bisection_matches_reference(parse_base("poly:2,-3,-1@(1,2)"))
 
 
+CELL_BASES = (
+    *census_sextics()[::135],
+    UNRESOLVED_SEXTIC,
+    "poly:2,-5,1@(1,3)",  # non-monic, remainders over D > 1
+    "poly:2,-4,0,1@(1,8)",  # non-monic and unresolved
+    "poly:1,-8,16,-5@(4,6)",  # the first midpoint is the root 5
+    "poly:2,-3,-1@(1,2)",
+    "rat:7/3",
+    "parry:2(1)",
+    "parry:1(10)",
+)
+
+cell_requests = st.lists(
+    st.tuples(st.just("depth"), st.integers(1, 400))
+    | st.tuples(st.just("width"), st.integers(1, 90).map(lambda k: Fraction(1, 2**k)))
+    | st.tuples(st.just("width"), st.integers(1, 25).map(lambda k: Fraction(1, 10**k))),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(CELL_BASES), requests=cell_requests)
+def test_integer_cell_is_the_fraction_bisection_at_its_level(spec, requests):
+    # after any mix of digits and enclosure requests, the cell (a, b, den)
+    # is the Fraction bisection's cell at the level reached, over a
+    # denominator that doubled once per level; a "parry:" base's engine
+    # runs from a fresh base on the same interval
+    base = parse_base(spec)
+    if spec.startswith("parry:"):
+        base = fresh_engine(base)
+    den0 = base._den
+    enc = base.enclosure()
+    ref, ref_level = FractionBisection(base.poly, enc.lo, enc.hi), 0
+    for what, x in requests:
+        if what == "depth":
+            base.parry_class(x)
+        else:
+            base.enclosure(x)
+        for _ in range(base._level - ref_level):
+            ref.bisect()
+        ref_level = base._level
+        assert base._den == den0 << base._level
+        assert (Fraction(base._a, base._den), Fraction(base._b, base._den)) == (ref.lo, ref.hi)
+        assert base.enclosure() == Interval(ref.lo, ref.hi)
+
+
 def test_rational_midpoint_collapses_the_enclosure():
     # (X - 5)(X^2 - 3X + 1): the first midpoint of (4, 6) is the root 5
     base = parse_base("poly:1,-8,16,-5@(4,6)")
@@ -664,9 +776,9 @@ def test_rational_midpoint_collapses_the_enclosure():
 @example(coeffs=[0, -2, 1], a=1, width=2, level=0, den=1)  # [-1, 1] straddles 0
 def test_integer_ends_equal_the_fraction_horner(coeffs, a, width, level, den):
     base = parse_base("poly:1,-1,-1@(1,2)")
-    base._ival = [Fraction(a, 2**level), Fraction(a + width, 2**level)]
+    base._a, base._b, base._den = a, a + width, 2**level
     p, q, scale = base._eval_ends(tuple(coeffs) + (den,))
-    ref = horner_interval(coeffs, Interval(*base._ival))
+    ref = horner_interval(coeffs, Interval(Fraction(a, 2**level), Fraction(a + width, 2**level)))
     assert (Fraction(p, scale), Fraction(q, scale)) == (ref.lo, ref.hi)
     assert (p // (scale * den), q // (scale * den)) == (ref.lo // den, ref.hi // den)
 
