@@ -28,9 +28,10 @@ Digits of the expansion of 1 come from one exact engine for every base.
   b / den, with the number of bisections that led to it.  Dyadic
   bisection updates them in place: den doubles per level, and each level
   is one exact sign test at the midpoint against the stored sign of p at
-  the lower end.  Neither bisection nor the Horner loop builds a
-  `Fraction`; `RealBase.enclosure(width)` builds an `Interval` only when
-  asked.  It returns the deepest dyadic cell reached so far, by digits or
+  the lower end; no midpoint is a root, since beta is irrational whenever
+  the polynomial is not linear.  Neither bisection nor the Horner loop
+  builds a `Fraction`; `RealBase.enclosure(width)` builds an `Interval`
+  only when asked.  It returns the deepest dyadic cell reached so far, by digits or
   by earlier requests, so the printed ends of an enclosure depend on what
   was refined before; each cell is the one the plain Fraction bisection
   reaches at the same level.
@@ -51,9 +52,14 @@ through it.  Everything built from a base (its systems, automata and
 enclosures) asks for the expansion at the default depth, so resolving a
 base deeper once with `require_parry(depth)` serves every later builder.
 A base recovered from its expansion (`base_from_expansion`, a "parry:"
-spec) starts resolved to that word.  A non-integer rational base is
-decided "not Parry" at any depth, however its polynomial is written: a
-Parry number is an algebraic integer (Parry 1960).
+spec) starts resolved to that word.
+
+Whether beta is rational is decided once, when the base is built: a
+polynomial of any degree whose isolated root is rational gives the
+linear base `RealBase.rational` gives, so every later reader may take
+"not linear" as "irrational".  A non-integer rational base is "not
+Parry" at every depth, since a Parry number is an algebraic integer
+(Parry 1960).
 """
 
 from __future__ import annotations
@@ -137,7 +143,13 @@ class ParryClass:
 
 
 class RealBase:
-    """A real base beta > 1 with a lazily extended expansion of 1."""
+    """A real base beta > 1 with a lazily extended expansion of 1.
+
+    Build one with `integer`, `rational`, `algebraic`, `base_from_expansion`
+    or `parse_base`, which validate their input; `RealBase(coeffs,
+    interval)` checks nothing, and takes a rational beta only as the
+    point interval [beta, beta].
+    """
 
     def __init__(self, coeffs, interval, source=None):
         self.poly = coeffs  # low-first primitive int tuple, leading coefficient > 0
@@ -162,7 +174,7 @@ class RealBase:
     @property
     def kind(self) -> str:
         """Read off the polynomial: "integer" or "rational" for degree 1,
-        "algebraic" above."""
+        "algebraic" (an irrational beta) above."""
         if pl.degree(self.poly) > 1:
             return "algebraic"
         return "integer" if self.poly[1] == 1 else "rational"
@@ -202,6 +214,12 @@ class RealBase:
         interval must contain exactly one of its roots, and that root must
         exceed 1.  Each end of the interval is an int or a Fraction; a float
         is refused, as by `rational`.
+
+        A rational root gives `rational(root)`, whatever the degree.  By the
+        rational root theorem it is k / lead for the leading coefficient
+        lead of the primitive p, so a scratch copy of the cell, bisected
+        below 1 / lead, holds at most one candidate, which is tested
+        exactly.  The base's own cell is left at the given interval.
         """
         p = pl.squarefree_part(pl.poly(_integer(c, "a coefficient") for c in coeffs))
         if pl.degree(p) < 1:
@@ -228,14 +246,15 @@ class RealBase:
             if s1 == 0 or s1 == s_hi:
                 raise NumerationError("isolated root is not > 1")
             lo = Fraction(1)
-        if pl.degree(p) == 1:
-            # linear polynomial: the root is exactly rational
-            root = Fraction(-p[0], p[1])
-            if root <= 1:
-                raise NumerationError("isolated root is not > 1")
-            return cls.rational(root)
         text = ",".join(str(c) for c in pl.high_first(p))
-        return cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
+        base = cls(p, (lo, hi), f"poly:{text}@({lo},{hi})")
+        lead = p[-1]
+        levels = base._levels_below(Fraction(1, lead))
+        a, b, den = _halve(p, base._lo_sign, base._a, base._b, base._den, levels)
+        k = -(-a * lead // den)  # the least k with k / lead >= a / den
+        if k * den <= b * lead and pl.sign_at_ratio(p, k, lead) == 0:
+            return cls.rational(Fraction(k, lead))
+        return base
 
     # -- enclosure -------------------------------------------------------------
 
@@ -247,8 +266,8 @@ class RealBase:
         refinement (a digit's floor, an earlier and narrower request).  A
         request that the enclosure already meets bisects nothing, so the
         ends returned depend on what was asked of the base before.  A
-        midpoint at which the polynomial vanishes is beta itself, and the
-        enclosure collapses to that point.  `width` must be positive.
+        rational base is the point beta at every width.  `width` must be
+        positive.
         """
         if width is not None:
             width = Fraction(width)
@@ -269,50 +288,12 @@ class RealBase:
 
     def _bisect(self, levels: int):
         """Halve the enclosure `levels` times, keeping the half that holds
-        beta; a midpoint that is a root collapses it and ends the loop.
-
-        The ends are integers over one denominator that doubles per level,
-        and each level is one exact sign test at the midpoint, compared
-        with the stored sign at the lower end, so every cell is the one
-        the plain Fraction bisection reaches at the same level.
-        """
-        a, b, den = self._a, self._b, self._den
-        if a == b:
-            return
-        poly, lo_sign = self.poly, self._lo_sign
-        for _ in range(levels):
-            mid, a, b, den = a + b, a << 1, b << 1, den << 1
-            self._level += 1
-            s = pl.sign_at_ratio(poly, mid, den)
-            if s == 0:
-                a = b = mid
-                break
-            if s == lo_sign:
-                a = mid
-            else:
-                b = mid
-        self._a, self._b, self._den = a, b, den
-
-    def _is_non_integer_rational(self) -> bool:
-        """Whether beta is a rational number that is not an integer,
-        whatever the degree of its polynomial.
-
-        By the rational root theorem a rational root of the primitive p
-        has a denominator dividing the leading coefficient: a monic p has
-        none, and otherwise, once the enclosure is narrower than 1/lead,
-        the one candidate k/lead, the least such number >= a / den, is
-        tested exactly.
-        """
-        lead = self.poly[-1]
-        if lead == 1:
-            return False
-        self.enclosure(Fraction(1, lead))
-        k = -(-self._a * lead // self._den)
-        return (
-            k * self._den <= self._b * lead
-            and k % lead != 0
-            and pl.sign_at_ratio(self.poly, k, lead) == 0
-        )
+        beta; a rational base's point stays as it is."""
+        if self._a != self._b:
+            self._a, self._b, self._den = _halve(
+                self.poly, self._lo_sign, self._a, self._b, self._den, levels
+            )
+            self._level += levels
 
     def approx(self) -> float:
         return float(self.enclosure(Fraction(1, 10**12)).mid)
@@ -382,8 +363,6 @@ class RealBase:
         exactly when g(beta) = 0: the answer is the same on every cell.
         """
         c = pl.primitive(self._minus(s, m)[:-1])
-        if not c:
-            return True
         g = pl.gcd(self.poly, c)
         if pl.degree(g) < 1:
             return False
@@ -484,18 +463,18 @@ class RealBase:
         A repeated exact remainder proves ultimate periodicity; a zero
         remainder proves finiteness.  A non-integer rational base is never
         Parry, because a Parry number is an algebraic integer (Parry 1960):
-        it gets "not_parry" with its digit prefix, also when its polynomial
-        is not minimal (see `_is_non_integer_rational`).  Otherwise absence
-        of both within `depth` only yields "unresolved" (never a claim that
-        beta is not Parry).  A base resolved once stays resolved at every
-        depth.
+        it gets "not_parry" with its digit prefix, however its polynomial
+        was written, since `algebraic` builds a rational root as a rational
+        base.  Otherwise absence of both within `depth` only yields
+        "unresolved" (never a claim that beta is not Parry).  A base
+        resolved once stays resolved at every depth.
         """
         _integer(depth, "depth", 1)
         while self._resolved is None and len(self._digits) < depth:
             self._step()
         w = self._resolved
         if w is None:
-            kind = "not_parry" if self._is_non_integer_rational() else "unresolved"
+            kind = "not_parry" if self.kind == "rational" else "unresolved"
             return ParryClass(kind, tuple(islice(self._digits, depth)), depth=depth)
         if w.zero_tail:
             return ParryClass("simple", w, n=len(w.support))
@@ -525,6 +504,25 @@ class RealBase:
         return f"RealBase({self.source or self.kind})"
 
 
+def _halve(poly, lo_sign: int, a: int, b: int, den: int, levels: int) -> tuple[int, int, int]:
+    """The cell [a / den, b / den] of a root of poly, halved `levels` times.
+
+    The ends stay integers over one denominator that doubles per level,
+    and each level is one exact sign test at the midpoint, compared with
+    lo_sign, the sign of poly at the lower end.  A midpoint that is the
+    root becomes the upper end, so the closed cell always holds it; for
+    an irrational root every cell is the one the plain Fraction bisection
+    reaches at the same level.
+    """
+    for _ in range(levels):
+        mid, a, b, den = a + b, a << 1, b << 1, den << 1
+        if pl.sign_at_ratio(poly, mid, den) == lo_sign:
+            a = mid
+        else:
+            b = mid
+    return a, b, den
+
+
 def quasi_greedy_of(d: EPWord) -> EPWord:
     """The quasi-greedy companion of a resolved greedy expansion of 1."""
     if not d.zero_tail:
@@ -543,9 +541,10 @@ def base_from_expansion(d: EPWord) -> RealBase:
     X^{n-j} when d = t1..tn followed by zeros, and otherwise, writing d
     with preperiod length m and period length n,
     (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
-    That polynomial has exactly one root > 1, which is beta.  By Parry's
-    theorem d is then beta's greedy expansion of 1, so the base starts
-    resolved to d, at every depth, and the engine never finds it again.
+    That polynomial has exactly one root > 1, which is beta, and
+    beta < d_1 + 1, so (1, d_1 + 2) isolates it.  By Parry's theorem d is
+    then beta's greedy expansion of 1, so the base starts resolved to d,
+    at every depth, and the engine never finds it again.
     """
     d = _as_epword(d)
     if d.digit(0) < 1:
@@ -554,19 +553,7 @@ def base_from_expansion(d: EPWord) -> RealBase:
         raise NumerationError("10^w corresponds to the degenerate base 1")
     if not is_parry_valid(d, strict=True):
         raise NumerationError(f"{d} is not a valid greedy expansion of 1")
-    p = char_poly(d, "canonical")
-    if pl.degree(p) == 1:
-        base = RealBase.rational(Fraction(-p[0], p[1]))
-    else:
-        # isolate the unique root > 1: the polynomial is negative at 1 and
-        # eventually positive
-        lo = Fraction(1)
-        if pl.sign_at(p, lo) >= 0:
-            raise NumerationError(f"no base > 1 realizes {d}")
-        hi = Fraction(d.digit(0) + 2)
-        while pl.sign_at(p, hi) <= 0:
-            hi *= 2
-        base = RealBase.algebraic(p, (lo, hi))
+    base = RealBase.algebraic(char_poly(d, "canonical"), (1, d.digit(0) + 2))
     base._resolved = d  # an EPWord is canonical, as the engine's words are
     return base
 

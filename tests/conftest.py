@@ -1,11 +1,12 @@
 import functools
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, strategies as st
 
-from bertrandnum import NumSys, RealBase, epword, format_epword
+from bertrandnum import NumSys, RealBase, epword, format_epword, is_parry_valid
 from bertrandnum import polynomials as pl
 
 from oracles import eval_at, poly_divides
@@ -113,6 +114,25 @@ def phi2():
 @pytest.fixture
 def trib():
     return tribonacci()
+
+
+def small_valid_expansions(max_total=5, max_digit=3):
+    """Every strict Parry word with at most `max_total` letters in its
+    preperiod and period together, over 0..max_digit, each once."""
+    digits = range(max_digit + 1)
+    ten_omega = epword((1,), (0,))
+    seen = set()
+    for total in range(1, max_total + 1):
+        for per_len in range(1, total + 1):
+            pre_len = total - per_len
+            for pre in itertools.product(digits, repeat=pre_len):
+                for per in itertools.product(digits, repeat=per_len):
+                    w = epword(pre, per)
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    if w.digit(0) >= 1 and w != ten_omega and is_parry_valid(w, True):
+                        yield w
 
 
 # y + 1, y, y - 1 and the quadratics y^2 + y - 1, y^2 - y - 1, y^2 - 2,

@@ -82,6 +82,25 @@ def test_renewal_empirical_matches_target(zeckendorf, phi):
     assert overlaps(emp[-1], target)
 
 
+def test_renewal_empirical_halves_the_width_near_one(zeckendorf):
+    # beta ~ 1.000999, the root of 1000X^2 - 1000X - 1, is within 2^-8 of
+    # 1, so the first enclosure must be halved until its lower end is > 1
+    base = RealBase.algebraic((-1, -1000, 1000), (1, 2))
+    widths, enclosure = [], base.enclosure
+
+    def spy(width=None):
+        widths.append(width)
+        return enclosure(width)
+
+    base.enclosure = spy
+    emp = renewal_empirical(zeckendorf, base, 10)
+    assert widths[:2] == [Fraction(1, 2**8), Fraction(1, 2**9)]
+    enc = enclosure()
+    assert enc.lo > 1
+    # U(10) = 144, so the last entry holds 144 / beta^10
+    assert emp[-1].lo <= 144 / enc.hi**10 and 144 / enc.lo**10 <= emp[-1].hi
+
+
 def test_renewal_empirical_noncanonical_phi(phi, phi_noncanonical):
     emp = renewal_empirical(phi_noncanonical, phi, 40)
     target = renewal_target(phi, "noncanonical")

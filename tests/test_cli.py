@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bertrandnum import format_word
+from bertrandnum import format_word, parse_base
 from bertrandnum.cli import main
 
 from conftest import FIXTURES, load_system
@@ -47,6 +47,13 @@ def test_dbeta_golden_ratio(capsys):
     code, out, _ = run(capsys, "dbeta", "--base", "poly:1,-1,-1@(1,2)", "--depth", "10")
     assert code == 0
     assert out == "11(0) [simple Parry, n=2]"
+
+
+def test_dbeta_raises_a_lower_end_below_one(capsys):
+    # (0, 2) also holds the root -1/phi; the base keeps (1, 2)
+    assert parse_base("poly:1,-1,-1@(0,2)").source == "poly:1,-1,-1@(1,2)"
+    code, out, _ = run(capsys, "dbeta", "--base", "poly:1,-1,-1@(0,2)")
+    assert (code, out) == (0, "11(0) [simple Parry, n=2]")
 
 
 def test_dbeta_json(capsys):
@@ -100,6 +107,20 @@ def test_beta_of(capsys):
     code, out, _ = run(capsys, "beta-of", "--word", "2(1)")
     assert code == 0
     assert out.startswith("root of X^2 - 3X + 1")
+
+
+def test_beta_of_an_integer_word(capsys):
+    assert run(capsys, "beta-of", "--word", "3") == (0, "3", "")
+    code, out, _ = run(capsys, "beta-of", "--word", "3", "--json")
+    assert (code, out) == (0, '{"spec": "int:3", "kind": "integer", "value": "3"}')
+
+
+def test_classify_a_linear_recurrence(capsys, tmp_path):
+    # U(i) = U(i-1) + 1 from U(0) = 1
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"initial": [1], "recurrence": {"coeffs": [1], "addend": 1}}))
+    code, out, _ = run(capsys, "classify", "--system", str(path))
+    assert (code, out) == (0, "Case 1: U(i) = i + 1 [certified]")
 
 
 def test_build_and_json_output(capsys, tmp_path):

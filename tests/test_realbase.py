@@ -23,7 +23,13 @@ from bertrandnum import (
 from bertrandnum import polynomials as pl
 from bertrandnum.intervals import Interval
 
-from conftest import census_sextics, golden_ratio, golden_ratio_squared, tribonacci
+from conftest import (
+    census_sextics,
+    golden_ratio,
+    golden_ratio_squared,
+    small_valid_expansions,
+    tribonacci,
+)
 from oracles import (
     FractionBisection,
     ceil_minus_one,
@@ -204,23 +210,6 @@ def test_base_from_expansion_rejects_degenerate():
         base_from_expansion(epword((1, 0), (1,)))  # not shift-dominated
 
 
-def small_valid_expansions(max_total=5, max_digit=3):
-    digits = range(max_digit + 1)
-    ten_omega = epword((1,), (0,))
-    seen = set()
-    for total in range(1, max_total + 1):
-        for per_len in range(1, total + 1):
-            pre_len = total - per_len
-            for pre in itertools.product(digits, repeat=pre_len):
-                for per in itertools.product(digits, repeat=per_len):
-                    w = epword(pre, per)
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    if w.digit(0) >= 1 and w != ten_omega and is_parry_valid(w, True):
-                        yield w
-
-
 def fresh_engine(base: RealBase) -> RealBase:
     """The same base on its current enclosure with no digits and nothing
     resolved: its engine must find the expansion of 1 itself."""
@@ -399,8 +388,11 @@ def test_parry_word_isolating_intervals_count_one_root(monkeypatch):
             except NumerationError:
                 pass
 
+    # every base goes through `RealBase.algebraic`, the integer words
+    # 2(0) and 3(0) too
     calls = _counted_intervals(monkeypatch, build)
-    assert len(calls) == sum(b.kind == "algebraic" for b in bases) > 100
+    assert len(calls) == len(bases) > 100
+    assert sorted(b.source for b in bases if b.kind != "algebraic") == ["parry:2(0)", "parry:3(0)"]
     assert all(n == 1 == sturm_count(p, lo, hi) for p, lo, hi, n in calls)
 
 
@@ -432,11 +424,11 @@ def test_reducible_polynomial_with_algebraic_root():
 
 
 def test_rational_root_through_polynomial_matches_fraction_path():
-    # (2x-3)(x-2): the isolated root is exactly 3/2, so the Q(beta) vector
-    # machinery must reproduce the plain Fraction remainder loop digit for
-    # digit (bisection midpoints never hit 3/2, so exactness detection and
-    # interval collapse both get exercised)
+    # (2x-3)(x-2): the isolated root is exactly 3/2, found by the rational
+    # root probe although no bisection midpoint is 3/2, so the base is
+    # rat:3/2 and its digits are the plain Fraction remainder loop's
     a = RealBase.algebraic((6, -7, 2), (Fraction(7, 5), Fraction(8, 5)))
+    assert (a.kind, a.value, a.source) == ("rational", Fraction(3, 2), "rat:3/2")
     expected, _ = rational_digits(Fraction(3, 2), 30)
     assert a.digits_prefix(30) == expected
     assert a.digits_prefix(30)[:4] == (1, 0, 1, 0)
@@ -710,7 +702,7 @@ CELL_BASES = (
     UNRESOLVED_SEXTIC,
     "poly:2,-5,1@(1,3)",  # non-monic, remainders over D > 1
     "poly:2,-4,0,1@(1,8)",  # non-monic and unresolved
-    "poly:1,-8,16,-5@(4,6)",  # the first midpoint is the root 5
+    "poly:1,-8,16,-5@(4,6)",  # the root 5, an integer base
     "poly:2,-3,-1@(1,2)",
     "rat:7/3",
     "parry:2(1)",
@@ -752,8 +744,10 @@ def test_integer_cell_is_the_fraction_bisection_at_its_level(spec, requests):
 
 
 def test_rational_midpoint_collapses_the_enclosure():
-    # (X - 5)(X^2 - 3X + 1): the first midpoint of (4, 6) is the root 5
+    # (X - 5)(X^2 - 3X + 1): the first midpoint of (4, 6) is the root 5,
+    # which the rational root probe finds, so the enclosure is the point 5
     base = parse_base("poly:1,-8,16,-5@(4,6)")
+    assert base.source == "int:5"
     assert_bisection_matches_reference(base)
     enc = base.enclosure(Fraction(1, 10**12))
     assert enc.lo == enc.hi == 5
