@@ -288,12 +288,11 @@ class RealBase:
 
     def _bisect(self, levels: int):
         """Halve the enclosure `levels` times, keeping the half that holds
-        beta; a rational base's point stays as it is."""
-        if self._a != self._b:
-            self._a, self._b, self._den = _halve(
-                self.poly, self._lo_sign, self._a, self._b, self._den, levels
-            )
-            self._level += levels
+        beta."""
+        self._a, self._b, self._den = _halve(
+            self.poly, self._lo_sign, self._a, self._b, self._den, levels
+        )
+        self._level += levels
 
     def approx(self) -> float:
         return float(self.enclosure(Fraction(1, 10**12)).mid)
