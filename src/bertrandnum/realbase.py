@@ -31,10 +31,10 @@ Digits of the expansion of 1 come from one exact engine for every base.
   the lower end; no midpoint is a root, since beta is irrational whenever
   the polynomial is not linear.  Neither bisection nor the Horner loop
   builds a `Fraction`; `RealBase.enclosure(width)` builds an `Interval`
-  only when asked.  It returns the deepest dyadic cell reached so far, by digits or
-  by earlier requests, so the printed ends of an enclosure depend on what
-  was refined before; each cell is the one the plain Fraction bisection
-  reaches at the same level.
+  only when asked.  It returns the deepest dyadic cell reached so far, by
+  digits or by earlier requests, so the printed ends of an enclosure
+  depend on what was refined before; each cell is the one the plain
+  Fraction bisection reaches at the same level.
 - **Repeats.**  An open-addressing table of 64-bit fingerprints (hash)
   records which remainders have been seen, and nothing else: no index,
   no remainder.  It is at most half full and doubles when it fills, so
