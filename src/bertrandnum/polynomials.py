@@ -1,4 +1,4 @@
-"""Dense univariate polynomials with exact integer/rational coefficients.
+"""Dense univariate polynomials with integer coefficients.
 
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Only what the root-isolation and recurrence machinery
@@ -8,12 +8,14 @@ part, Sturm counting and a pretty printer.
 Every sign the package decides about a polynomial at a rational point
 comes from one integer kernel, `sign_at_ratio`: the bisection of a
 base's isolating interval and the Sturm count both read it.  No
-function here returns the value p(x) itself.
+function here returns the value p(x) itself.  Every division stays in
+integers too: gcd, the square-free part and the Sturm chain read one
+remainder sequence, `_remainders`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd as igcd
 
 from .errors import NumerationError
 
@@ -64,93 +66,86 @@ def derivative(p: IntPoly) -> IntPoly:
     return poly(i * c for i, c in enumerate(p) if i > 0)
 
 
-def _divmod_frac(p, q):
-    # long division over Q; p, q low-first with Fraction-compatible coeffs
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in p]
-    d = [Fraction(c) for c in q]
-    quot = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
-    while len(r) >= len(d) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(d):
-            break
-        k = len(r) - len(d)
-        f = r[-1] / d[-1]
-        quot[k] = f
-        for i, c in enumerate(d):
-            r[k + i] -= f * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(quot), tuple(r)
-
-
-def _integral(p) -> IntPoly:
-    """p times the positive rational that clears its denominators and
-    divides out its integer content: an integer polynomial with the sign
-    of p at every point."""
-    from math import gcd as igcd, lcm as ilcm
-
-    fracs = [Fraction(c) for c in p]
-    den = ilcm(*(c.denominator for c in fracs))
-    ints = [int(c * den) for c in fracs]
-    g = igcd(*ints) or 1
-    return poly(c // g for c in ints)
+def _content_free(p) -> IntPoly:
+    """p divided by the positive gcd of its integer coefficients."""
+    p = poly(p)
+    g = igcd(*p)
+    return tuple(c // g for c in p) if g > 1 else p
 
 
 def primitive(p) -> IntPoly:
-    """Clear the denominators, divide out the integer content and make the
-    leading coefficient positive."""
-    ints = _integral(p)
-    return ints if not ints or ints[-1] > 0 else tuple(-c for c in ints)
+    """Divide out the integer content and make the leading coefficient
+    positive."""
+    p = _content_free(p)
+    return p if not p or p[-1] > 0 else tuple(-c for c in p)
+
+
+def _remainders(a, b) -> list:
+    """a, b and then minus the remainder of the last two, up to the last
+    nonzero member: the Euclidean remainder sequence over Q with each
+    member an integer polynomial times a positive constant.
+
+    The remainder of A by B is taken as the pseudo-remainder
+    lc(B)^e A mod B, e = deg A - deg B + 1, with B's sign flipped to make
+    lc(B) > 0 (Collins 1967; Brown and Traub 1971).  The remainder of c*A
+    by c'*B is c times that of A by B, so dividing each member by its
+    positive content flips no later sign.
+    """
+    seq = [_content_free(a), _content_free(b)]
+    while seq[-1]:
+        r, d = list(seq[-2]), seq[-1]
+        if d[-1] < 0:
+            d = tuple(-c for c in d)
+        lead = d[-1]
+        for k in range(len(r) - len(d), -1, -1):
+            top = r.pop()
+            r = [c * lead for c in r]
+            for i, c in enumerate(d[:-1]):
+                r[k + i] -= top * c
+        seq.append(_content_free(-c for c in r))
+    return seq[:-1]
 
 
 def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd over Q, with positive leading coefficient."""
-    a = tuple(Fraction(c) for c in p)
-    b = tuple(Fraction(c) for c in q)
-    while b and any(b):
-        _, r = _divmod_frac(a, b)
-        a, b = b, r
-    return primitive(a)
+    return primitive(_remainders(p, q)[-1])
 
 
 def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
-    quot, rem = _divmod_frac(p, q)
-    if rem:
+    """The primitive quotient of p by q, which must divide p over Q.
+
+    By Gauss's lemma a primitive q divides a primitive p over Q exactly
+    when the quotient is an integer polynomial, so long division of the
+    primitive parts stays in integers and fails at its first inexact step.
+    """
+    r, d = list(primitive(p)), primitive(q)
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [0] * max(len(r) - len(d) + 1, 0)
+    for k in reversed(range(len(quot))):
+        f, m = divmod(r[-1], d[-1])
+        if m:
+            break
+        quot[k] = f
+        r.pop()
+        for i, c in enumerate(d[:-1]):
+            r[k + i] -= f * c
+    if any(r):
         raise NumerationError("polynomial division was not exact")
-    return primitive(quot)
+    return tuple(quot)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     p = primitive(p)
-    if degree(p) <= 0:
-        return p
     g = gcd(p, derivative(p))
-    if degree(g) <= 0:
-        return p
-    return exact_div(p, g)
+    return exact_div(p, g) if degree(g) > 0 else p
 
 
 def sturm_chain(p: IntPoly):
-    """The Sturm sequence of p, each member an integer polynomial times a
-    positive constant, so every member has the sign of the textbook one.
-
-    The remainder of c*A by c'*B is c times the remainder of A by B, so
-    for c, c' > 0 the positive factors never flip a later member.
-    """
-    chain = [_integral(p)]
-    d = derivative(p)
-    if d:
-        chain.append(_integral(d))
-        while True:
-            _, r = _divmod_frac(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(_integral(-c for c in r))
-    return chain
+    """The Sturm sequence of p: p, p' and minus each remainder, each
+    member an integer polynomial times a positive constant, so every
+    member has the sign of the textbook one."""
+    return _remainders(p, derivative(p))
 
 
 def _variations(signs) -> int:
@@ -158,8 +153,9 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of square-free p in the interval (lo, hi].
+def count_roots(p: IntPoly, lo, hi) -> int:
+    """Number of distinct real roots of square-free p in the interval (lo, hi],
+    whose ends are ints or Fractions.
 
     Requires p(lo) != 0.  The signs of the chain at lo and hi come from
     `sign_at`, the package's one sign kernel.

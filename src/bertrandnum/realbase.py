@@ -361,8 +361,7 @@ class RealBase:
         beta alone among the roots of p, so g changes sign across a cell
         exactly when g(beta) = 0: the answer is the same on every cell.
         """
-        c = pl.primitive(self._minus(s, m)[:-1])
-        g = pl.gcd(self.poly, c)
+        g = pl.gcd(self.poly, self._minus(s, m)[:-1])
         if pl.degree(g) < 1:
             return False
         den = self._den

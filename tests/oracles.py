@@ -65,6 +65,28 @@ def _frac_rem(q, p) -> tuple:
     return tuple(r)
 
 
+def fraction_primitive(p) -> pl.IntPoly:
+    """The rational multiple of p, a polynomial with int or Fraction
+    coefficients, whose coefficients are coprime integers with a positive
+    leading one."""
+    fracs = [Fraction(c) for c in pl.poly(p)]
+    if not fracs:
+        return ()
+    den = lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def fraction_gcd(p, q) -> pl.IntPoly:
+    """The gcd over Q by Euclid's algorithm on `_frac_rem`, as a
+    `fraction_primitive` polynomial."""
+    a, b = pl.poly(p), pl.poly(q)
+    while b:
+        a, b = b, _frac_rem(a, b)
+    return fraction_primitive(a)
+
+
 def poly_divides(p: pl.IntPoly, q: pl.IntPoly) -> bool:
     """True when p divides q over Q (up to a constant): the remainder of
     q by p, from long division in Fractions, is zero."""
@@ -669,10 +691,8 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
         return tuple(c - top * Fraction(poly[j], poly[n]) for j, c in enumerate(shifted))
 
     def is_exactly(vec, m):
-        c = pl.primitive((vec[0] - m,) + vec[1:])
-        if not c:
-            return True
-        g = pl.gcd(poly, c)
+        # gcd(poly, 0) is poly itself, whose sign changes on the box
+        g = fraction_gcd(poly, (vec[0] - m,) + vec[1:])
         return pl.degree(g) >= 1 and pl.sign_at(g, box.lo) * pl.sign_at(g, box.hi) < 0
 
     def floor(vec):

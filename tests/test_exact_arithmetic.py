@@ -9,6 +9,8 @@ from bertrandnum.intervals import Interval
 
 from oracles import (
     eval_at,
+    fraction_gcd,
+    fraction_primitive,
     fraction_sturm_chain,
     gap,
     overlaps,
@@ -78,8 +80,10 @@ def test_gcd_and_squarefree():
        st.lists(st.integers(-9, 9), max_size=3))
 def test_poly_divides_oracle_matches_gcd_degree(p, q, r):
     """p divides q over Q exactly when gcd(p, q) has the degree of p; a
-    multiple of p is divided by it."""
+    multiple of p is divided by it.  The gcd is Euclid's over Q, zero
+    polynomials included."""
     p, q, r = pl.poly(p), pl.poly(q), pl.poly(r)
+    assert pl.gcd(p, q) == fraction_gcd(p, q)
     if p:
         assert poly_divides(p, q) == (pl.degree(pl.gcd(p, q)) == pl.degree(p))
         assert poly_divides(p, poly_mul(poly_add(q, r), p))
@@ -90,6 +94,60 @@ def test_poly_divides_oracle_matches_gcd_degree(p, q, r):
 def test_exact_div_raises_on_remainder():
     with pytest.raises(NumerationError):
         pl.exact_div((-1, -1, 1), (1, 1))
+    # 2X + 1 does not divide X: the first step is inexact, with nothing left below it
+    with pytest.raises(NumerationError):
+        pl.exact_div((0, 1), (1, 2))
+    assert pl.exact_div((-4, 0, 4), (2, 2)) == (-1, 1)
+
+
+def signs_at(chain, x) -> list:
+    """The sign of each member of a chain at x, by Horner's rule in Fractions."""
+    return [(v > 0) - (v < 0) for v in (eval_at(q, Fraction(x)) for q in chain)]
+
+
+@st.composite
+def common_factor_products(draw):
+    """k f^2 g, f h and f for integer polynomials f, g, h of degree 0 to 3
+    and a nonzero integer k: forced common and repeated factors,
+    non-primitive multiples, negative leading coefficients and constants."""
+    def factor():
+        return pl.poly(draw(st.lists(st.integers(-6, 6), max_size=3))
+                       + [draw(st.integers(-4, 4).filter(bool))])
+
+    f, g, h, k = factor(), factor(), factor(), draw(st.integers(-6, 6).filter(bool))
+    return poly_mul((k,), poly_mul(poly_mul(f, f), g)), poly_mul(f, h), f
+
+
+@given(common_factor_products(),
+       st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=4))
+@example(((-2, 0, 2), (-1, 1), (-1, 1)), [Fraction(1)])  # 2(X - 1)(X + 1) and X - 1
+@example(((-6,), (3,), (1,)), [Fraction(0)])  # constants
+def test_remainder_sequence_matches_fraction_euclid(products, points):
+    """gcd, square-free part, exact quotient and Sturm chain from the
+    integer remainder sequence against Euclid's algorithm in Fractions.
+
+    A quotient is pinned by the product: a primitive polynomial with a
+    positive leading coefficient whose product with the divisor is a
+    rational multiple of the dividend."""
+    p, q, f = products
+    assert pl.gcd(p, q) == fraction_gcd(p, q) == pl.gcd(q, p)
+    sqf = pl.squarefree_part(p)
+    assert sqf == fraction_primitive(sqf)
+    assert fraction_primitive(poly_mul(sqf, fraction_gcd(p, pl.derivative(p)))) == (
+        fraction_primitive(p))
+    for a, b in ((p, q), (q, p), (p, poly_mul(f, f)), (q, f)):
+        if poly_divides(b, a):
+            quot = pl.exact_div(a, b)
+            assert quot == fraction_primitive(quot)
+            assert fraction_primitive(poly_mul(quot, b)) == fraction_primitive(a)
+        else:
+            with pytest.raises(NumerationError, match="not exact"):
+                pl.exact_div(a, b)
+    for r in (p, sqf):
+        chain, reference = pl.sturm_chain(r), fraction_sturm_chain(r)
+        assert len(chain) == len(reference)
+        for x in points:
+            assert signs_at(chain, x) == signs_at(reference, x)
 
 
 def test_sturm_count():
@@ -129,9 +187,13 @@ def sturm_cases(draw):
 @example(((0, -3, 0, 1), Fraction(-1), Fraction(1)))  # both ends are roots of p'
 @example(((0, -3, 0, 1), Fraction(-2), Fraction(0)))  # hi is a root of p and of 2X
 @example(((-1, -1, 1), Fraction(1, 2), Fraction(2)))  # the root of the linear p'
+@example(((1, 1, 0, 0, 1), Fraction(-2), Fraction(0)))  # a degree gap of 2 at a negative lead
 def test_count_roots_matches_fraction_sturm_count(case):
     p, lo, hi = case
     assert pl.count_roots(p, lo, hi) == sturm_count(p, lo, hi)
+    chain, reference = pl.sturm_chain(p), fraction_sturm_chain(p)
+    for x in (lo, hi):
+        assert signs_at(chain, x) == signs_at(reference, x)
 
 
 def test_format_and_parse():

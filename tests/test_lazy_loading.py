@@ -47,6 +47,13 @@ def test_parser_loads_no_layer():
     assert not loaded & {"fractions", "dataclasses", "json"}
 
 
+def test_polynomials_load_no_fractions():
+    # the polynomial substrate divides in integers alone
+    loaded = loaded_after("import bertrandnum.polynomials")
+    assert "bertrandnum.polynomials" in loaded
+    assert "fractions" not in loaded
+
+
 def run_main(*argv) -> str:
     return (
         "import contextlib, io\n"

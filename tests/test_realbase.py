@@ -13,6 +13,7 @@ from bertrandnum import (
     RealBase,
     UnresolvedBaseError,
     base_from_expansion,
+    char_poly,
     epword,
     expansion_polynomial,
     format_epword,
@@ -229,6 +230,31 @@ def test_base_from_expansion_roundtrip_enumerated():
         assert want.word == w, w
         assert seeded.parry_class(1) == want == seeded.parry_class(), w
         assert seeded._digits == []  # the engine never ran
+
+
+@st.composite
+def longer_parry_words(draw):
+    """A strict Parry word of 7 to 14 letters over 0..4 whose later letters
+    are at most its first."""
+    first = draw(st.integers(1, 4))
+    letters = (first,) + tuple(draw(st.lists(st.integers(0, first), min_size=6, max_size=13)))
+    m = draw(st.integers(1, len(letters) - 1))
+    w = epword(letters[:m], letters[m:])
+    assume(len(w.pre) + len(w.per) >= 7 and is_parry_valid(w, True))
+    return w
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(longer_parry_words())
+def test_engine_finds_a_longer_parry_word(w):
+    # the unseeded engine on the interval `base_from_expansion` uses finds
+    # w within m + n + 1 digits, as does the Fraction loop
+    base = RealBase.algebraic(char_poly(w, "canonical"), (1, w.digit(0) + 2))
+    enc = base.enclosure()
+    depth = len(w.pre) + len(w.per) + 1
+    cls = base.parry_class(depth)
+    assert cls.word == w
+    assert fraction_expansion(base.poly, (enc.lo, enc.hi), depth) == (w, cls.kind)
 
 
 def test_a_long_parry_word_needs_no_depth():
