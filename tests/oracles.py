@@ -66,9 +66,8 @@ def _frac_rem(q, p) -> tuple:
 
 
 def fraction_primitive(p) -> pl.IntPoly:
-    """The rational multiple of p, a polynomial with int or Fraction
-    coefficients, whose coefficients are coprime integers with a positive
-    leading one."""
+    """The multiple of p (int or Fraction coefficients) by a rational whose
+    coefficients are coprime integers with a positive leading one."""
     fracs = [Fraction(c) for c in pl.poly(p)]
     if not fracs:
         return ()
