@@ -25,6 +25,7 @@ _LAYERS = {
         "EPWord",
         "digit_word",
         "epword",
+        "expansion_polynomial",
         "format_epword",
         "format_word",
         "is_parry_valid",
@@ -38,7 +39,6 @@ _LAYERS = {
         "RealBase",
         "base_from_expansion",
         "char_poly",
-        "expansion_polynomial",
         "generating_word",
         "parse_base",
         "quasi_greedy_of",

@@ -1,15 +1,16 @@
 """Positional numeration systems and their numeration languages.
 
-A system is a strictly increasing integer sequence U with U(0) = 1.
-Values are materialized lazily from one of two generators: an explicit
-list of initial values plus an integer linear recurrence (with an
-optional constant addend), or the Bertrand-style rule
-U(i) = a1 U(i-1) + ... + ai U(0) + 1 driven by any eventually periodic
-word a with a nonzero first letter.  U fixes the alphabet: the members
-of length at most n use the letters 0..d, where d is the greatest first
-letter of the greatest members of those lengths.  A recurrence may
-declare a bound on the letters (alphabet_max); each materialized
-quotient U(i)/U(i-1) is checked against it.
+A system is a strictly increasing integer sequence U with U(0) = 1,
+given by initial values plus an integer linear recurrence (with an
+optional constant addend), or by the Bertrand-style rule
+U(i) = a1 U(i-1) + ... + ai U(0) + 1 on an eventually periodic word a
+with a nonzero first letter.  Either becomes one rational generating function
+U(x) = R(x) / ((1 - x) C(x)), from which the values are materialized
+lazily.  U fixes the alphabet: the members of length at most n use the
+letters 0..d, where d is the greatest first letter of the greatest
+members of those lengths.  A recurrence may declare a bound on the
+letters (alphabet_max); each materialized quotient U(i)/U(i-1) is
+checked against it.
 
 The numeration language contains all greedy representations padded with
 leading zeros.  Membership is decided by the suffix criterion: a word
@@ -41,6 +42,7 @@ from .words import (
     _integer,
     _is_integer,
     epword,
+    expansion_polynomial,
     format_epword,
     is_parry_valid,
     parse_epword,
@@ -80,7 +82,8 @@ class BertrandReport:
 
 
 class NumSys:
-    """A positional numeration system with lazily materialized values.
+    """A positional numeration system whose values and generating word are
+    read from one generating function, U(x) = R(x) / ((1 - x) C(x)).
 
     alphabet_max, when given, is a declared bound on the digits: every
     materialized U(i) must satisfy ceil(U(i)/U(i-1)) - 1 <= alphabet_max,
@@ -99,17 +102,32 @@ class NumSys:
             )
             init = list(generator.initial)
         elif isinstance(generator, BertrandRule):
-            if generator.word.digit(0) < 1:
+            w = generator.word
+            if w.digit(0) < 1:
                 raise NumerationError("the generating word must start with a nonzero digit")
             init = [1]
+            # the letters' generating function is A = 1 - C/R, with R = 1 - x^n
+            c, r = expansion_polynomial(w)[::-1], [1] + [0] * (len(w.per) - 1) + [-1]
         else:
             raise NumerationError(f"unknown generator {generator!r}")
         if alphabet_max is not None:
             _integer(alphabet_max, "alphabet_max")
         if not init or init[0] != 1:
             raise NumerationError("U(0) must equal 1")
-        if isinstance(generator, Recurrence) and len(init) < len(generator.coeffs):
-            raise NumerationError("initial values must cover the recurrence order")
+        if isinstance(generator, Recurrence):
+            if len(init) < len(generator.coeffs):
+                raise NumerationError("initial values must cover the recurrence order")
+            # A = 1 - C/R with C = 1 - sum c_j x^j: R = (1 - x) C(x) U(x) is a
+            # polynomial, as past the initial values C(x) U(x) is the addend
+            c = (1,) + tuple(-x for x in generator.coeffs)
+            p = [sum(x * init[i - j] for j, x in enumerate(c[: i + 1])) for i in range(len(init))]
+            r = [x - y for x, y in zip(p + [generator.addend], [0] + p)]
+            while len(r) > 1 and r[-1] == 0:
+                r.pop()
+        self._c, self._r = c, tuple(r)
+        # U(i) = R_i - sum_k D_k U(i - k) over the nonzero terms of D = (1 - x) C
+        d = [x - y for x, y in zip(c + (0,), (0,) + c)]
+        self._d = [(k, x) for k, x in enumerate(d) if k and x]
         self.generator = generator
         self._alphabet_max = alphabet_max
         self._u = init
@@ -140,18 +158,14 @@ class NumSys:
         return [self.u(i) for i in range(_integer(count, "count", 0))]
 
     def _extend(self):
-        i = len(self._u)
-        g = self.generator
-        if isinstance(g, Recurrence):
-            v = g.addend
-            for j, c in enumerate(g.coeffs):
-                v += c * self._u[i - 1 - j]
-        else:
-            w = g.word
-            v = 1
-            for j in range(1, i + 1):
-                v += w.digit(j - 1) * self._u[i - j]
-        self._u.append(v)
+        u = self._u
+        i = len(u)
+        v = self._r[i] if i < len(self._r) else 0
+        for k, x in self._d:
+            if k > i:
+                break
+            v -= x * u[i - k]
+        u.append(v)
         self._check_materialized(i)
 
     def _check_materialized(self, i: int):
@@ -330,22 +344,7 @@ class NumSys:
         """The letters a_1, a_2, ... of the generating word, with `order`
         and `start`: past index start, each letter is a fixed function of
         the order letters before it."""
-        g = self.generator
-        if isinstance(g, BertrandRule):
-            w = g.word
-            return map(w.digit, itertools.count()), len(w.per), len(w.pre) + len(w.per)
-        # 1 / ((1 - x) U(x)) = C(x) / R(x) with C = 1 - sum c_j x^j and
-        # R = (1 - x) C(x) U(x), a polynomial of degree <= len(initial):
-        # past the initial values, C(x) U(x) has every coefficient equal
-        # to the addend.  A = 1 - C/R gives R(x) A(x) = R(x) - C(x).
-        c, u = (0,) + g.coeffs, g.initial
-        p = [
-            u[i] - sum(c[j] * u[i - j] for j in range(1, min(i + 1, len(c))))
-            for i in range(len(u))
-        ]
-        r = [1] + [p[i] - p[i - 1] for i in range(1, len(u))] + [g.addend - p[-1]]
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
+        c, r = self._c, self._r
         return _recurrent_letters(c, r), len(r) - 1, max(len(c), len(r)) - 1
 
     # -- serialization -----------------------------------------------------------
@@ -404,12 +403,14 @@ def _least_above(v: DigitWord, a: DigitWord, skip: int) -> DigitWord | None:
 
 
 def _recurrent_letters(c, r):
-    """a_i = c_i + r_i - sum_{1 <= j < i} r_j a_{i-j}, the coefficients of
-    R - C over R (c_0 = 0, r_0 = 1, both zero past their ends)."""
+    """a_i = r_i - c_i - sum_{1 <= j < i} r_j a_{i-j}, the coefficients of
+    A = 1 - C/R (c_0 = r_0 = 1, both zero past their ends), summed over
+    the nonzero r_j alone: a word's R is 1 - x^n."""
+    terms = [(j, x) for j, x in enumerate(r) if j and x]
     last = deque(maxlen=len(r) - 1)
     for i in itertools.count(1):
-        x = (c[i] if i < len(c) else 0) + (r[i] if i < len(r) else 0)
-        x -= sum(r[j] * last[-j] for j in range(1, min(i, len(r))))
+        x = (r[i] if i < len(r) else 0) - (c[i] if i < len(c) else 0)
+        x -= sum(rj * last[-j] for j, rj in terms if j < i)
         last.append(x)
         yield x
 

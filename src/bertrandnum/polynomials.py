@@ -3,7 +3,8 @@
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty tuple.  Only what the root-isolation and recurrence machinery
 needs lives here: exact sign tests, the derivative, gcd, square-free
-part, Sturm counting and a pretty printer.
+part, Sturm counting and a pretty printer.  One Sturm chain gives both
+the square-free part of a polynomial and the count of its roots.
 
 Every sign the package decides about a polynomial at a rational point
 comes from one integer kernel, `sign_at_ratio`: the bisection of a
@@ -136,9 +137,16 @@ def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
+    return squarefree_chain(p)[0]
+
+
+def squarefree_chain(p: IntPoly) -> tuple:
+    """The primitive square-free part of p, and the Sturm chain of p,
+    whose last member is gcd(p, p') times a positive constant."""
     p = primitive(p)
-    g = gcd(p, derivative(p))
-    return exact_div(p, g) if degree(g) > 0 else p
+    chain = sturm_chain(p)
+    g = chain[-1]
+    return (exact_div(p, g) if degree(g) > 0 else p), chain
 
 
 def sturm_chain(p: IntPoly):
@@ -153,14 +161,16 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: IntPoly, lo, hi) -> int:
-    """Number of distinct real roots of square-free p in the interval (lo, hi],
-    whose ends are ints or Fractions.
+def count_roots(chain, lo, hi) -> int:
+    """Number of distinct real roots in the interval (lo, hi], whose ends
+    are ints or Fractions, of the polynomial p whose Sturm chain is `chain`.
 
-    Requires p(lo) != 0.  The signs of the chain at lo and hi come from
+    Requires p(lo) != 0, and p(hi) != 0 unless p is square-free: each
+    member is then gcd(p, p') times the member of the chain of the
+    square-free part, and the gcd has one sign at each end, so dividing
+    it out changes no sign variation.  The signs of the chain come from
     `sign_at`, the package's one sign kernel.
     """
-    chain = sturm_chain(p)
     at_lo = [sign_at(q, lo) for q in chain]
     if at_lo[0] == 0:
         raise NumerationError("lower endpoint is a root; Sturm count undefined")

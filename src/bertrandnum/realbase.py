@@ -82,6 +82,7 @@ from .words import (
     _integer,
     _is_integer,
     epword,
+    expansion_polynomial,
     format_epword,
     is_parry_valid,
     parse_epword,
@@ -197,9 +198,7 @@ class RealBase:
     def rational(cls, q) -> "RealBase":
         """The base q > 1 for an int or a Fraction q.  A float is refused:
         its binary value is rarely the rational meant."""
-        if not (_is_integer(q) or isinstance(q, Fraction)):
-            raise NumerationError(f"rational base must be an int or a Fraction, got {q!r}")
-        q = Fraction(q)
+        q = _fraction(q, "rational base")
         if q <= 1:
             raise NumerationError(f"base must be > 1, got {q}")
         if q.denominator == 1:
@@ -221,22 +220,17 @@ class RealBase:
         below 1 / lead, holds at most one candidate, which is tested
         exactly.  The base's own cell is left at the given interval.
         """
-        p = pl.squarefree_part(pl.poly(_integer(c, "a coefficient") for c in coeffs))
+        p, chain = pl.squarefree_chain(pl.poly(_integer(c, "a coefficient") for c in coeffs))
         if pl.degree(p) < 1:
             raise NumerationError("polynomial must be nonconstant")
-        for end in interval:
-            if not (_is_integer(end) or isinstance(end, Fraction)):
-                raise NumerationError(
-                    f"an interval end must be an int or a Fraction, got {end!r}"
-                )
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi, *_ = [_fraction(end, "an interval end") for end in interval]
         if lo >= hi:
             raise NumerationError(f"bad isolating interval ({lo}, {hi})")
         s_lo, s_hi = pl.sign_at(p, lo), pl.sign_at(p, hi)
         if s_lo == 0 or s_hi == 0:
             raise NumerationError("isolating interval endpoints must not be roots")
-        # one simple root and no other: p changes sign in the interval
-        if pl.count_roots(p, lo, hi) != 1:
+        # one root and no other, counted on the chain of the given polynomial
+        if pl.count_roots(chain, lo, hi) != 1:
             raise NumerationError("interval does not isolate exactly one root")
         # push the lower endpoint above 1
         if hi <= 1:
@@ -267,10 +261,11 @@ class RealBase:
         request that the enclosure already meets bisects nothing, so the
         ends returned depend on what was asked of the base before.  A
         rational base is the point beta at every width.  `width` must be
-        positive.
+        a positive int or Fraction; a float, a bool or a string is refused,
+        as by `rational`.
         """
         if width is not None:
-            width = Fraction(width)
+            width = _fraction(width, "enclosure width")
             if width <= 0:
                 raise NumerationError(f"enclosure width must be > 0, got {width}")
             self._bisect(self._levels_below(width))
@@ -502,6 +497,13 @@ class RealBase:
         return f"RealBase({self.source or self.kind})"
 
 
+def _fraction(value, what: str) -> Fraction:
+    """The one rule for a rational argument: an int but no bool, or a Fraction."""
+    if not (_is_integer(value) or isinstance(value, Fraction)):
+        raise NumerationError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def _halve(poly, lo_sign: int, a: int, b: int, den: int, levels: int) -> tuple[int, int, int]:
     """The cell [a / den, b / den] of a root of poly, halved `levels` times.
 
@@ -535,11 +537,8 @@ def base_from_expansion(d: EPWord) -> RealBase:
     """Recover the unique base beta > 1 whose greedy expansion of 1 is d.
 
     d must be strictly shift-dominated, distinct from 10^w, and start
-    with a nonzero digit.  The defining polynomial is X^n - sum t_j
-    X^{n-j} when d = t1..tn followed by zeros, and otherwise, writing d
-    with preperiod length m and period length n,
-    (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
-    That polynomial has exactly one root > 1, which is beta, and
+    with a nonzero digit.  Its polynomial char_poly(d, "canonical") has
+    exactly one root > 1, which is beta, and
     beta < d_1 + 1, so (1, d_1 + 2) isolates it.  By Parry's theorem d is
     then beta's greedy expansion of 1, so the base starts resolved to d,
     at every depth, and the engine never finds it again.
@@ -556,31 +555,14 @@ def base_from_expansion(d: EPWord) -> RealBase:
     return base
 
 
-def expansion_polynomial(d: EPWord) -> pl.IntPoly:
-    """The recurrence polynomial attached to the decomposition of d; for a
-    finite word t1..tn it is (X - 1)(X^n - sum t_j X^{n-j})."""
-    m, n = len(d.pre), len(d.per)
-    digits = d.pre + d.per
-    coeffs = [0] * (m + n + 1)
-    coeffs[m + n] += 1
-    for j in range(1, m + n + 1):
-        coeffs[m + n - j] -= digits[j - 1]
-    coeffs[m] -= 1
-    for j in range(1, m + 1):
-        coeffs[m - j] += digits[j - 1]
-    return pl.poly(coeffs)
-
-
 def char_poly(word: EPWord, variant: str) -> pl.IntPoly:
     """Characteristic polynomial of the recurrence satisfied by the system.
 
-    canonical: for a finite expansion t1..tn the polynomial is
-    X^n - sum t_j X^{n-j}; for an ultimately periodic quasi-greedy word
-    with preperiod m and period n it is
-    (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}).
-    noncanonical: requires a finite expansion t1..tn and yields
-    (X^{n+1} - sum t_j X^{n+1-j}) - (X^n - sum t_j X^{n-j}).
-    A word whose first letter is 0 generates no system and is rejected.
+    canonical: `expansion_polynomial(word)`, for a finite expansion
+    t1..tn divided by X - 1, which leaves X^n - sum t_j X^{n-j}.
+    noncanonical: requires a finite expansion and yields
+    `expansion_polynomial(word)` itself.  A word whose first letter is 0
+    generates no system and is rejected.
     """
     _check_variant(variant)
     word = _as_epword(word)

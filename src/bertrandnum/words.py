@@ -216,6 +216,23 @@ def quasi_to_greedy(a: EPWord) -> EPWord:
     return EPWord(p[:-1] + (p[-1] + 1,), (0,))
 
 
+def expansion_polynomial(d: EPWord) -> tuple:
+    """The recurrence polynomial of d with preperiod m and period n, low first:
+    (X^{m+n} - sum_{j<=m+n} d_j X^{m+n-j}) - (X^m - sum_{j<=m} d_j X^{m-j}),
+    (X - 1)(X^n - sum t_j X^{n-j}) for a finite word t1..tn.  Its reciprocal
+    is (1 - x^n)(1 - A(x)), A the generating function of d."""
+    m, n = len(d.pre), len(d.per)
+    digits = d.pre + d.per
+    coeffs = [0] * (m + n + 1)
+    coeffs[m + n] += 1
+    for j in range(1, m + n + 1):
+        coeffs[m + n - j] -= digits[j - 1]
+    coeffs[m] -= 1
+    for j in range(1, m + 1):
+        coeffs[m - j] += digits[j - 1]
+    return tuple(coeffs)
+
+
 # -- text syntax -------------------------------------------------------------
 
 # letters, then an optional nonempty period in parentheses; each group of

@@ -158,7 +158,7 @@ def census_sextics() -> tuple:
                     continue
                 if any(poly_divides(q, t) for q in _CYCLOTOMIC_TRACES):
                     continue
-                if pl.count_roots(t, -2, 2) != 2:
+                if pl.count_roots(pl.sturm_chain(t), -2, 2) != 2:
                     continue
                 p = (1, a, b, c, b, a, 1)
                 bound = 1 + max(abs(x) for x in p)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bertrandnum import (
     NumSys,
@@ -102,10 +102,67 @@ def test_recurrence_residual_is_one(name, variant):
     # U(i) - sum a_j U(i-j) = 1 for the generating word a
     base = make_base(name)
     s = build_bertrand(base, variant)
-    word = s.generator.word
-    for i in range(31):
-        residual = s.u(i) - sum(word.digit(j - 1) * s.u(i - j) for j in range(1, i + 1))
-        assert residual == 1
+    assert rule_residuals(s, 31) == [1] * 31
+
+
+def rule_residuals(s: NumSys, count: int) -> list:
+    """U(i) - sum_{1 <= j <= i} a_j U(i-j) for i < count, a the word of
+    the system's BertrandRule, read from the values and the letters
+    alone."""
+    word, u = s.generator.word, s.values(count)
+    return [u[i] - sum(word.digit(j - 1) * u[i - j] for j in range(1, i + 1))
+            for i in range(count)]
+
+
+@st.composite
+def rule_words(draw):
+    """Eventually periodic words with up to 8 preperiod and 8 period
+    letters over 0..9 and a nonzero first letter, Parry-valid or not."""
+    pre = draw(st.lists(st.integers(0, 9), max_size=8))
+    per = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+    assume((pre or per)[0] >= 1)
+    return epword(pre, per)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_words())
+@example(epword((1, 2), (0,)))  # 12(0), whose shift 2(0) is above it
+@example(epword((), (9, 0, 0, 0, 0, 0, 0, 9)))
+def test_rule_residual_is_one(word):
+    # the values the generating function gives obey the rule itself,
+    # U(i) = a_1 U(i-1) + ... + a_i U(0) + 1, for 200 values
+    assert rule_residuals(NumSys.from_word(word), 200) == [1] * 200
+
+
+@st.composite
+def recurrences(draw):
+    """Recurrences of order 1 to 4 with an addend, at least as many
+    strictly increasing initial values as the order, and values that
+    increase."""
+    order = draw(st.integers(1, 4))
+    initial = [1]
+    for _ in range(draw(st.integers(order, order + 3)) - 1):
+        initial.append(initial[-1] + draw(st.integers(1, 20)))
+    coeffs = [draw(st.integers(1, 3))] + draw(
+        st.lists(st.integers(-1, 3), min_size=order - 1, max_size=order - 1))
+    try:
+        s = NumSys.from_recurrence(initial, coeffs, draw(st.integers(-2, 5)))
+        s.u(200)
+    except NumerationError:
+        assume(False)
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(recurrences())
+def test_recurrence_residual_is_the_addend(s):
+    # past the initial values, U(i) - sum c_j U(i-j) is the addend
+    g = s.generator
+    u = s.values(200)
+    assert u[: len(g.initial)] == list(g.initial)
+    for i in range(len(g.initial), 200):
+        residual = u[i] - sum(c * u[i - j] for j, c in enumerate(g.coeffs, 1))
+        assert residual == g.addend
 
 
 @pytest.mark.parametrize("name", list(PARRY_BASES), ids=list(PARRY_BASES))

@@ -150,13 +150,29 @@ def test_remainder_sequence_matches_fraction_euclid(products, points):
             assert signs_at(chain, x) == signs_at(reference, x)
 
 
+@given(common_factor_products(), st.fractions(-20, 20, max_denominator=12),
+       st.fractions(-20, 20, max_denominator=12))
+@example(((-2, 0, 2, 0, -2, 0, 2), (-1, 1), (-1, 1)), Fraction(0), Fraction(2))  # 2(X^2 - 1)^3
+def test_chain_with_repeated_factors_counts_distinct_roots(products, a, b):
+    """The chain of k f^2 g counts the distinct roots of its square-free
+    part, and its last member is the gcd that square-free part divides
+    out."""
+    p = products[0]
+    lo, hi = sorted((a, b))
+    assume(pl.degree(p) >= 1 and lo < hi and pl.sign_at(p, lo) and pl.sign_at(p, hi))
+    sqf, chain = pl.squarefree_chain(p)
+    assert sqf == pl.squarefree_part(p)
+    assert pl.gcd(p, pl.derivative(p)) == pl.primitive(chain[-1])
+    assert pl.count_roots(chain, lo, hi) == sturm_count(sqf, lo, hi)
+
+
 def test_sturm_count():
     p = (-1, -1, 1)  # roots ~ -0.618, 1.618
-    assert pl.count_roots(p, Fraction(0), Fraction(2)) == 1
-    assert pl.count_roots(p, Fraction(-1), Fraction(2)) == 2
-    assert pl.count_roots(p, Fraction(2), Fraction(3)) == 0
+    assert pl.count_roots(pl.sturm_chain(p), Fraction(0), Fraction(2)) == 1
+    assert pl.count_roots(pl.sturm_chain(p), Fraction(-1), Fraction(2)) == 2
+    assert pl.count_roots(pl.sturm_chain(p), Fraction(2), Fraction(3)) == 0
     wilkinsonish = poly_mul(poly_mul((-1, 1), (-2, 1)), (-3, 1))
-    assert pl.count_roots(wilkinsonish, Fraction(1, 2), Fraction(7, 2)) == 3
+    assert pl.count_roots(pl.sturm_chain(wilkinsonish), Fraction(1, 2), Fraction(7, 2)) == 3
 
 
 @st.composite
@@ -190,8 +206,8 @@ def sturm_cases(draw):
 @example(((1, 1, 0, 0, 1), Fraction(-2), Fraction(0)))  # a degree gap of 2 at a negative lead
 def test_count_roots_matches_fraction_sturm_count(case):
     p, lo, hi = case
-    assert pl.count_roots(p, lo, hi) == sturm_count(p, lo, hi)
     chain, reference = pl.sturm_chain(p), fraction_sturm_chain(p)
+    assert pl.count_roots(chain, lo, hi) == sturm_count(p, lo, hi)
     for x in (lo, hi):
         assert signs_at(chain, x) == signs_at(reference, x)
 

@@ -99,6 +99,18 @@ def test_rational_base_from_an_int_or_a_fraction():
     assert RealBase.rational(Fraction(11, 10)).source == "rat:11/10"
 
 
+@pytest.mark.parametrize("width", ["1/1000", True, 0.1, 1.0, [1]], ids=repr)
+def test_enclosure_width_takes_only_an_int_or_a_fraction(width):
+    with pytest.raises(NumerationError, match="width must be an int or a Fraction"):
+        golden_ratio().enclosure(width)
+
+
+def test_enclosure_width_from_an_int_or_a_fraction():
+    base = golden_ratio()
+    assert base.enclosure(1).width < 1
+    assert base.enclosure(Fraction(1, 1000)).width < Fraction(1, 1000)
+
+
 @pytest.mark.parametrize(
     "coeffs", [(-1.0, -1, 1), (-1, -1, True), (-1, "-1", 1), (Fraction(-1), -1, 1)]
 )

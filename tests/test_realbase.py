@@ -378,11 +378,12 @@ def test_algebraic_rejects_bad_intervals(coeffs, interval, message):
 
 
 def _counted_intervals(monkeypatch, build) -> list:
-    """(p, lo, hi, count) for every Sturm count that `build()` makes."""
+    """(p, lo, hi, count) for every Sturm count that `build()` makes, p
+    the first member of the chain counted on."""
     calls, count = [], pl.count_roots
 
-    def spy(p, lo, hi):
-        calls.append((p, lo, hi, count(p, lo, hi)))
+    def spy(chain, lo, hi):
+        calls.append((chain[0], lo, hi, count(chain, lo, hi)))
         return calls[-1][-1]
 
     monkeypatch.setattr(pl, "count_roots", spy)
@@ -536,12 +537,13 @@ def isolated_roots(draw):
     p = pl.squarefree_part(tuple(low) + (draw(st.integers(1, 5)),))
     assume(pl.degree(p) >= 1 and pl.sign_at(p, 1) != 0)
     lo, hi = Fraction(1), Fraction(1 + sum(abs(c) for c in p))
-    assume(pl.count_roots(p, lo, hi) >= 1)
-    while pl.count_roots(p, lo, hi) > 1:
+    chain = pl.sturm_chain(p)
+    assume(pl.count_roots(chain, lo, hi) >= 1)
+    while pl.count_roots(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
         while pl.sign_at(p, mid) == 0:
             mid += (hi - mid) / 3
-        if pl.count_roots(p, mid, hi) >= 1:
+        if pl.count_roots(chain, mid, hi) >= 1:
             lo = mid
         else:
             hi = mid

@@ -66,8 +66,8 @@ def assert_same_answers(specs):
 
 def test_census_spellings():
     # every 12th census sextic whose expansion of 1 resolves with
-    # m + n <= 30; the strides keep the file near 1.5 s, most of it in
-    # the values of the Bertrand systems (`NumSys._extend`)
+    # m + n <= 30; the strides keep the file near 1 s, spread over the
+    # digit engine, the shift automata, parsing the bases and the values
     rows = json.loads(CENSUS_SEED.read_text())["rows"]
     specs = [
         spec

@@ -70,4 +70,4 @@ def test_count_roots_matches_sympy(fs, a, b, den):
     assume(lo < hi and pl.sign_at(p, lo) != 0)
     expected = to_sympy(p).count_roots(sympy.Rational(lo.numerator, lo.denominator),
                                        sympy.Rational(hi.numerator, hi.denominator))
-    assert pl.count_roots(p, lo, hi) == expected
+    assert pl.count_roots(pl.sturm_chain(p), lo, hi) == expected
