@@ -165,9 +165,9 @@ def count_roots(chain, lo, hi) -> int:
     """Number of distinct real roots in the interval (lo, hi], whose ends
     are ints or Fractions, of the polynomial p whose Sturm chain is `chain`.
 
-    Requires p(lo) != 0, and p(hi) != 0 unless p is square-free: each
-    member is then gcd(p, p') times the member of the chain of the
-    square-free part, and the gcd has one sign at each end, so dividing
+    Requires p(lo) != 0, and p(hi) != 0 when p is not square-free.  Then
+    each member is gcd(p, p') times the member of the chain of the
+    square-free part, and the gcd keeps one sign at each end, so dividing
     it out changes no sign variation.  The signs of the chain come from
     `sign_at`, the package's one sign kernel.
     """
