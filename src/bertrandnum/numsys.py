@@ -32,7 +32,6 @@ scan always ends.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NumerationError
@@ -125,15 +124,13 @@ class NumSys:
             while len(r) > 1 and r[-1] == 0:
                 r.pop()
         self._c, self._r = c, tuple(r)
-        # U(i) = R_i - sum_k D_k U(i - k) over the nonzero terms of D = (1 - x) C
-        d = [x - y for x, y in zip(c + (0,), (0,) + c)]
-        self._d = [(k, x) for k, x in enumerate(d) if k and x]
         self.generator = generator
         self._alphabet_max = alphabet_max
-        self._u = init
+        self._u = [1]
+        # U = R/D with D = (1 - x) C, which gives back the initial values
+        self._values = _coefficients(self._r, [x - y for x, y in zip(c + (0,), (0,) + c)], self._u)
         self._lexmax: dict[int, tuple] = {}
-        for i in range(1, len(self._u)):
-            self._check_materialized(i)
+        self.u(len(init) - 1)
 
     # -- constructors ---------------------------------------------------------
 
@@ -158,18 +155,10 @@ class NumSys:
         return [self.u(i) for i in range(_integer(count, "count", 0))]
 
     def _extend(self):
+        """Materialize the next value; it is kept only once it passes the
+        checks, so a rejected one is rejected again on every later call."""
         u = self._u
-        i = len(u)
-        v = self._r[i] if i < len(self._r) else 0
-        for k, x in self._d:
-            if k > i:
-                break
-            v -= x * u[i - k]
-        u.append(v)
-        self._check_materialized(i)
-
-    def _check_materialized(self, i: int):
-        prev, cur = self._u[i - 1], self._u[i]
+        i, prev, cur = len(u), u[-1], next(self._values)
         if cur <= prev:
             raise NumerationError(
                 f"sequence is not strictly increasing at U({i}) = {cur}"
@@ -179,6 +168,7 @@ class NumSys:
             raise NumerationError(
                 f"declared alphabet bound {bound} contradicted at U({i})/U({i - 1})"
             )
+        u.append(cur)
 
     # -- representations -------------------------------------------------------
 
@@ -309,27 +299,33 @@ class NumSys:
         (words.walk_step), Duval's (1983) test with the order reversed:
         one step per letter.  Brent's (1980) cycle detection watches
         the windows of letters that determine the next one; a repeated
-        window proves a eventually periodic.  The letters are integers
-        with a rational generating function, so if a is not eventually
-        periodic it is unbounded (Fatou 1906) and some letter leaves
-        0..a_1: the scan ends without a limit.
+        window proves a eventually periodic.  Each window is compared by
+        a rolling fingerprint, and a match is confirmed letter by letter.
+        The letters are integers with a rational generating function, so
+        if a is not eventually periodic it is unbounded (Fatou 1906) and
+        some letter leaves 0..a_1: the scan ends without a limit.
         """
         if limit is not None:
             _integer(limit, "limit", 0)
-        letters, order, start = self._letters()
+        c, r = self._c, self._r
+        # the letters are the coefficients of (R - C)/(xR); past index
+        # start, each is a fixed function of the order letters before it
+        num = [x - y for x, y in itertools.zip_longest(r, c, fillvalue=0)][1:]
+        order, start = len(r) - 1, len(num)
         a = []
         q = 0  # the state of the walk of a_2 a_3 ... against a
+        h, drop = 0, pow(_BASE, order, _PRIME)  # the fingerprint of the window
         saved, saved_at, power = None, start - 1, 1
-        for i, x in enumerate(itertools.islice(letters, limit), 1):
+        for i, x in enumerate(itertools.islice(_coefficients(num, r, a), limit), 1):
             if a:
                 q = walk_step(a, q, x)
             if x < 0 or q is None:
                 return None, i
             a.append(x)
+            h = (h * _BASE + x - (a[i - order - 1] * drop if i > order else 0)) % _PRIME
             if i < start:
                 continue
-            window = tuple(a[i - order :])
-            if window == saved:
+            if h == saved and a[i - order :] == a[saved_at - order : saved_at]:
                 # the windows repeat from saved_at on, so the letters do
                 # from the first letter of the saved window on
                 word = epword(a[: saved_at - order], a[saved_at - order : i - order])
@@ -337,15 +333,8 @@ class NumSys:
                     return word, None
                 start = float("inf")  # a shift exceeds a: scan on to the index
             elif i - saved_at == power:
-                saved, saved_at, power = window, i, 2 * power
+                saved, saved_at, power = h, i, 2 * power
         return None, None
-
-    def _letters(self):
-        """The letters a_1, a_2, ... of the generating word, with `order`
-        and `start`: past index start, each letter is a fixed function of
-        the order letters before it."""
-        c, r = self._c, self._r
-        return _recurrent_letters(c, r), len(r) - 1, max(len(c), len(r)) - 1
 
     # -- serialization -----------------------------------------------------------
 
@@ -377,11 +366,17 @@ class NumSys:
                 )
         raise NumerationError(f"bad numeration system JSON: {data!r}")
 
+    def __reduce__(self):  # a copy or a pickle rebuilds its values lazily
+        return type(self), (self.generator, self._alphabet_max)
+
     def __repr__(self):
         g = self.generator
         if isinstance(g, BertrandRule):
             return f"NumSys(word={format_epword(g.word)})"
         return f"NumSys(initial={list(g.initial)}, coeffs={list(g.coeffs)}, addend={g.addend})"
+
+
+_PRIME, _BASE = 2**61 - 1, 1_000_003  # a window's fingerprint, mod a Mersenne prime
 
 
 def _integers(values, what: str) -> tuple:
@@ -402,17 +397,21 @@ def _least_above(v: DigitWord, a: DigitWord, skip: int) -> DigitWord | None:
     return None
 
 
-def _recurrent_letters(c, r):
-    """a_i = r_i - c_i - sum_{1 <= j < i} r_j a_{i-j}, the coefficients of
-    A = 1 - C/R (c_0 = r_0 = 1, both zero past their ends), summed over
-    the nonzero r_j alone: a word's R is 1 - x^n."""
-    terms = [(j, x) for j, x in enumerate(r) if j and x]
-    last = deque(maxlen=len(r) - 1)
-    for i in itertools.count(1):
-        x = (r[i] if i < len(r) else 0) - (c[i] if i < len(c) else 0)
-        x -= sum(rj * last[-j] for j, rj in terms if j < i)
-        last.append(x)
-        yield x
+def _coefficients(num, den, kept: list):
+    """Yield the coefficient at index len(kept) of num(x)/den(x), with
+    den(0) = 1, each time the generator is resumed: num_i minus
+    sum_k den_k kept[i - k], summed over the nonzero den_k alone.  The
+    caller appends to kept the coefficients it keeps."""
+    terms = [(k, x) for k, x in enumerate(den) if k and x]
+    del den  # only its nonzero terms are kept
+    while True:
+        i = len(kept)
+        v = num[i] if i < len(num) else 0
+        for k, x in terms:
+            if k > i:
+                break
+            v -= x * kept[i - k]
+        yield v
 
 
 def parse_system(text: str) -> NumSys:

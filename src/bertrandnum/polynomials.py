@@ -136,10 +136,6 @@ def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     return tuple(quot)
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    return squarefree_chain(p)[0]
-
-
 def squarefree_chain(p: IntPoly) -> tuple:
     """The primitive square-free part of p, and the Sturm chain of p,
     whose last member is gcd(p, p') times a positive constant."""

@@ -142,6 +142,43 @@ def shift(w: EPWord, i: int) -> EPWord:
     return EPWord((), w.per[k:] + w.per[:k])
 
 
+def recurrence_values(initial, coeffs, addend: int, count: int) -> list:
+    """U(0..count-1) by the recurrence itself, increasing or not: the
+    initial values, then U(i) = c_1 U(i-1) + ... + c_k U(i-k) + addend."""
+    u = list(initial[:count])
+    while len(u) < count:
+        u.append(sum(c * u[-j] for j, c in enumerate(coeffs, 1)) + addend)
+    return u
+
+
+def bertrand_rule_values(word: EPWord, count: int) -> list:
+    """U(0..count-1) by the Bertrand rule on word a:
+    U(i) = a_1 U(i-1) + ... + a_i U(0) + 1."""
+    u = []
+    for i in range(count):
+        u.append(sum(word.digit(j) * u[i - 1 - j] for j in range(i)) + 1)
+    return u
+
+
+def letters_of_values(u: list) -> list:
+    """a_1..a_{len(u)-1} from U(0) = 1 and the values after it:
+    a_i = U(i) - 1 - sum_{j<i} a_j U(i-j)."""
+    a = []
+    for i in range(1, len(u)):
+        a.append(u[i] - 1 - sum(a[j - 1] * u[i - j] for j in range(1, i)))
+    return a
+
+
+def first_failing_letter(a: list) -> int | None:
+    """The least i such that a_i < 0 or some factor of a_1..a_i is above
+    the prefix of a of its length, or None: each suffix a_{s+1}..a_i is
+    compared with the prefix of its length."""
+    for i in range(1, len(a) + 1):
+        if a[i - 1] < 0 or any(a[s:i] > a[: i - s] for s in range(1, i)):
+            return i
+    return None
+
+
 def member_direct(s: NumSys, w) -> bool:
     """Membership without the suffix criterion: strip leading zeros, then
     compare with the greedy representation of the value."""

@@ -70,7 +70,7 @@ def test_poly_arithmetic():
 
 def test_gcd_and_squarefree():
     p = poly_mul((-1, -1, 1), (-1, -1, 1))
-    assert pl.squarefree_part(p) == (-1, -1, 1)
+    assert pl.squarefree_chain(p)[0] == (-1, -1, 1)
     assert pl.gcd(poly_mul((-2, 1), (-1, 1)), poly_mul((-2, 1), (3, 1))) == (-2, 1)
     assert poly_divides((-1, 1), (-1, 0, 0, 1))  # x-1 | x^3-1
     assert not poly_divides((1, 1), (-1, -1, 1))
@@ -131,7 +131,7 @@ def test_remainder_sequence_matches_fraction_euclid(products, points):
     rational multiple of the dividend."""
     p, q, f = products
     assert pl.gcd(p, q) == fraction_gcd(p, q) == pl.gcd(q, p)
-    sqf = pl.squarefree_part(p)
+    sqf = pl.squarefree_chain(p)[0]
     assert sqf == fraction_primitive(sqf)
     assert fraction_primitive(poly_mul(sqf, fraction_gcd(p, pl.derivative(p)))) == (
         fraction_primitive(p))
@@ -161,7 +161,7 @@ def test_chain_with_repeated_factors_counts_distinct_roots(products, a, b):
     lo, hi = sorted((a, b))
     assume(pl.degree(p) >= 1 and lo < hi and pl.sign_at(p, lo) and pl.sign_at(p, hi))
     sqf, chain = pl.squarefree_chain(p)
-    assert sqf == pl.squarefree_part(p)
+    assert sqf == pl.squarefree_chain(p)[0]
     assert pl.gcd(p, pl.derivative(p)) == pl.primitive(chain[-1])
     assert pl.count_roots(chain, lo, hi) == sturm_count(sqf, lo, hi)
 

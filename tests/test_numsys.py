@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import re
 
@@ -16,17 +18,22 @@ from bertrandnum import (
     is_parry_valid,
     parse_system,
 )
+from bertrandnum import numsys
 from bertrandnum.numsys import BertrandRule, Recurrence
 
 from conftest import FIXTURES, load_system, system_jsons
 from oracles import (
     bertrand_holds_up_to,
+    bertrand_rule_values,
     bertrand_violations,
     count_length,
+    first_failing_letter,
     first_violation_by_search,
     letter_bound,
+    letters_of_values,
     member_direct,
     members_by_length,
+    recurrence_values,
 )
 
 ALL_FIXTURES = [
@@ -252,6 +259,19 @@ def test_check_bertrand_scans_past_a_repeated_window():
     assert report.first_violation == violations[0]
 
 
+def test_fingerprint_collisions_decide_nothing(monkeypatch):
+    # with every window's fingerprint 0, each saved window seems to repeat,
+    # and the letter-by-letter comparison alone must decide
+    words = [epword(pre, per) for pre in itertools.product(range(3), repeat=2)
+             for per in itertools.product(range(3), repeat=2) if pre[0]]
+    systems = [load_system(name) for name in ALL_FIXTURES] + [NumSys.from_word(w) for w in words] + [
+        parse_system("bertrand:110(1)"), parse_system("bertrand:(3" + "1" * 60 + "2)")]
+    expected = [s.scan_generating_word(300) for s in systems]
+    monkeypatch.setattr(numsys, "_PRIME", 1)
+    assert [s.scan_generating_word(300) for s in systems] == expected
+    assert sum(word is not None for word, _ in expected) > 20
+
+
 @st.composite
 def recurrence_systems(draw):
     """Recurrences of order <= 3 with coefficients 0..3 and addend 0 or 1
@@ -458,6 +478,70 @@ def test_declared_alphabet_mismatch_is_hard_error():
         s.u(2)
 
 
+@pytest.mark.parametrize(
+    "system,message",
+    [
+        (lambda: NumSys.from_recurrence([1, 2], [1, -1]), r"not strictly increasing at U\(2\) = 1$"),
+        (lambda: NumSys.from_recurrence([1, 2], [-1, 2], alphabet_max=3), r"not strictly increasing at U\(2\) = 0$"),
+        (lambda: NumSys.from_recurrence([1, 2], [4], alphabet_max=2), r"bound 2 contradicted at U\(2\)/U\(1\)$"),
+    ],
+    ids=["decreasing", "zero", "alphabet-bound"],
+)
+def test_a_rejected_value_is_never_kept(system, message):
+    # each later call computes U(2) again and rejects it again, never
+    # returning it or dividing by it
+    s = system()
+    for call in (lambda: s.u(2), lambda: s.u(2), lambda: s.values(3), lambda: s.u(3), lambda: s.rep(100)):
+        with pytest.raises(NumerationError, match=message):
+            call()
+    assert s.values(2) == [1, 2]
+
+
+@st.composite
+def recurrences(draw):
+    """Recurrences of order <= 4 with coefficients -3..4, addend 0 or 1
+    and increasing initial values, as (initial, coeffs, addend)."""
+    order = draw(st.integers(1, 4))
+    initial = [1]
+    for _ in range(order - 1):
+        initial.append(initial[-1] + draw(st.integers(1, 4)))
+    coeffs = draw(st.lists(st.integers(-3, 4), min_size=order, max_size=order))
+    return initial, coeffs, draw(st.integers(0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        recurrences(),
+        st.builds(
+            epword, st.lists(st.integers(0, 4), max_size=3), st.lists(st.integers(0, 4), min_size=1, max_size=3)
+        ).filter(lambda w: w.digit(0) >= 1),
+    )
+)
+def test_values_and_letters_match_direct_evaluation(generator):
+    count = 200
+    if isinstance(generator, tuple):
+        s, u = NumSys.from_recurrence(*generator), recurrence_values(*generator, count)
+    else:
+        s, u = NumSys.from_word(generator), bertrand_rule_values(generator, count)
+    a = letters_of_values(u)
+    if not isinstance(generator, tuple):
+        assert a == [generator.digit(j) for j in range(count - 1)]
+    stop = next((i for i in range(1, count) if u[i] <= u[i - 1]), None)
+    if stop is None:
+        assert [s.u(i) for i in range(count)] == u
+    else:
+        assert [s.u(i) for i in range(stop)] == u[:stop]
+        message = rf"not strictly increasing at U\({stop}\) = {u[stop]}$"
+        for call in (lambda: s.u(stop), lambda: s.u(count - 1), lambda: s.values(stop + 1)):
+            with pytest.raises(NumerationError, match=message):
+                call()
+    word, fails_at = s.scan_generating_word(count - 1)
+    assert fails_at == first_failing_letter(a)
+    if word is not None:
+        assert [word.digit(j) for j in range(count - 1)] == a and is_parry_valid(word, strict=False)
+
+
 def test_json_roundtrip(zeckendorf):
     data = zeckendorf.to_json()
     again = NumSys.from_json(data)
@@ -465,6 +549,15 @@ def test_json_roundtrip(zeckendorf):
     word_sys = NumSys.from_word(epword((1, 1), (0,)))
     again = NumSys.from_json(word_sys.to_json())
     assert again.values(8) == word_sys.values(8)
+
+
+def test_copies_and_pickles_rebuild_the_values():
+    s = NumSys.from_recurrence([1, 3], [2, 1], alphabet_max=2)
+    s.u(12)
+    for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert again.values(20) == s.values(20) and again.to_json() == s.to_json()
+    word = parse_system("bertrand:2(01)")
+    assert pickle.loads(pickle.dumps(word)).values(8) == word.values(8)
 
 
 def test_parse_system_inline_and_path():

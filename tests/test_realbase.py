@@ -534,7 +534,7 @@ def isolated_roots(draw):
         return (-q.numerator, q.denominator), (q, q)
     deg = draw(st.integers(2, 3))
     low = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
-    p = pl.squarefree_part(tuple(low) + (draw(st.integers(1, 5)),))
+    p = pl.squarefree_chain(tuple(low) + (draw(st.integers(1, 5)),))[0]
     assume(pl.degree(p) >= 1 and pl.sign_at(p, 1) != 0)
     lo, hi = Fraction(1), Fraction(1 + sum(abs(c) for c in p))
     chain = pl.sturm_chain(p)

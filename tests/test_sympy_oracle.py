@@ -56,7 +56,7 @@ def test_gcd_matches_sympy(common, left, right):
 def test_squarefree_part_matches_sympy(base, repeated, power):
     """p = a r^power has the repeated factor r."""
     p = poly_mul(product(base), product(repeated * power))
-    assert pl.squarefree_part(p) == from_sympy(sympy.sqf_part(to_sympy(p)))
+    assert pl.squarefree_chain(p)[0] == from_sympy(sympy.sqf_part(to_sympy(p)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -65,7 +65,7 @@ def test_count_roots_matches_sympy(fs, a, b, den):
     """Distinct real roots of the square-free part of a product of
     factors in (lo, hi]; sympy counts them in [lo, hi], the same when lo
     is not a root."""
-    p = pl.squarefree_part(product(fs))
+    p = pl.squarefree_chain(product(fs))[0]
     lo, hi = sorted((Fraction(a, den), Fraction(b, den)))
     assume(lo < hi and pl.sign_at(p, lo) != 0)
     expected = to_sympy(p).count_roots(sympy.Rational(lo.numerator, lo.denominator),
