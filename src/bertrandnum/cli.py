@@ -452,16 +452,26 @@ def _free(parser: argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    # an integer argument or output may have any number of digits: lift
+    # the interpreter's limit on int-text conversion (Python 3.10.7+)
+    # while a command runs, and give callers back their own setting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        parser = make_parser()
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            _free(parser)
+        try:
+            return args.func(args)
+        except NumerationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     finally:
-        _free(parser)
-    try:
-        return args.func(args)
-    except NumerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

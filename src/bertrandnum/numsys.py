@@ -13,10 +13,13 @@ letters (alphabet_max); each materialized quotient U(i)/U(i-1) is
 checked against it.
 
 The numeration language contains all greedy representations padded with
-leading zeros.  Membership is decided by the suffix criterion: a word
-belongs to the language exactly when each of its suffixes is
-lexicographically at most the greatest word of the same length,
-rep(U(i) - 1).
+leading zeros.  A word belongs to it exactly when each of its suffixes
+is lexicographically at most the greatest member of the same length,
+rep(U(i) - 1) (the suffix criterion).  While the generating word a below
+passes its scan, that greatest member of length i is a_1..a_i, so
+membership is one walk of the word against a_1..a_n (words.walk);
+rep is needed only for lengths at or past the index where the scan
+fails.
 
 The Bertrand condition (w is a member exactly when w0 is) is decided
 from the generating word a of U, a_i = U(i) - 1 - sum_{j<i} a_j U(i-j),
@@ -123,13 +126,21 @@ class NumSys:
             r = [x - y for x, y in zip(p + [generator.addend], [0] + p)]
             while len(r) > 1 and r[-1] == 0:
                 r.pop()
-        self._c, self._r = c, tuple(r)
         self.generator = generator
         self._alphabet_max = alphabet_max
         self._u = [1]
         # U = R/D with D = (1 - x) C, which gives back the initial values
-        self._values = _coefficients(self._r, [x - y for x, y in zip(c + (0,), (0,) + c)], self._u)
-        self._lexmax: dict[int, tuple] = {}
+        self._values = _coefficients(r, [x - y for x, y in zip(c + (0,), (0,) + c)], self._u)
+        self._lexmax: dict[int, tuple] = {}  # rep(U(i) - 1), padded, past the failing index
+        # the letters of the generating word are the coefficients of
+        # (R - C)/(xR); past index _start, each is a fixed function of the
+        # _order letters before it.  _a keeps those that pass the scan
+        num = [x - y for x, y in itertools.zip_longest(r, c, fillvalue=0)][1:]
+        self._order, self._start = len(r) - 1, len(num)
+        self._a: list = []
+        self._next_letter = _coefficients(num, r, self._a)
+        self._q = 0  # the state of the walk of a_2 a_3 ... against a
+        self._fails_at = None  # the index of the first letter that fails the scan
         self.u(len(init) - 1)
 
     # -- constructors ---------------------------------------------------------
@@ -193,8 +204,15 @@ class NumSys:
         return total
 
     def lex_max(self, i: int) -> DigitWord:
-        """rep(U(i) - 1): the lexicographically greatest member of length i."""
-        cached = self._lexmax.get(_integer(i, "i", 0))
+        """rep(U(i) - 1) padded to length i: the lexicographically greatest
+        member of length i.  While the scan passes a_1..a_i, that is
+        a_1..a_i (check_bertrand, part 1), and by part (4) only U(1) can
+        break; rep is run only from the failing index on."""
+        a = self._passing(_integer(i, "i", 0))
+        if len(a) >= i:
+            self.u(min(i, 1))
+            return tuple(a[:i])
+        cached = self._lexmax.get(i)
         if cached is None:
             w = self.rep(self.u(i) - 1)
             cached = (0,) * (i - len(w)) + w
@@ -204,12 +222,38 @@ class NumSys:
     def member(self, w) -> bool:
         """Membership of w in the numeration language 0* rep(N).
 
-        Decided by the suffix criterion: every suffix of w must be at
-        most, lexicographically, the greatest member of its length.
+        By the suffix criterion, every suffix of w must be at most,
+        lexicographically, the greatest member of its length.  Suffixes
+        at or past the index where the scan of the generating word fails
+        are compared with lex_max, longest first; the last k letters,
+        with a_1..a_k passing the scan, are one walk against a_1..a_k.
         """
         for d in w:
             _integer(d, "a digit", 0)
-        return suffixes_at_most(w, self.lex_max)
+        w = tuple(w)
+        n = len(w)
+        a = self._passing(n)
+        k = min(n, len(a))
+        if not suffixes_at_most(w, self.lex_max, k + 1):
+            return False
+        self.u(min(n, 1))
+        return len(walk(a, w[n - k :])) == k + 1
+
+    def _passing(self, n: int) -> list:
+        """The letters a_1, a_2, ... of the generating word read so far,
+        read on until n of them pass the scan or one fails it.  All of
+        them pass it; when fewer than n are returned, the next letter
+        fails it (self._fails_at)."""
+        a = self._a
+        while len(a) < n and self._fails_at is None:
+            x = next(self._next_letter)
+            q = walk_step(a, self._q, x) if a else 0
+            if x < 0 or q is None:
+                self._fails_at = len(a) + 1
+            else:
+                a.append(x)
+                self._q = q
+        return a
 
     # -- the Bertrand condition ----------------------------------------------------
 
@@ -266,17 +310,22 @@ class NumSys:
         U(j) > U(j-1); by (1) a_2..a_j is a member of length j - 1, so
         val(a_2..a_j) < U(j-1) and ceil(U(j)/U(j-1)) - 1 <= a_1 =
         ceil(U(1)/U(0)) - 1.  Neither the increasing check nor a declared
-        alphabet bound can fail past U(1).
+        alphabet bound can fail past U(1).  The values of a BertrandRule
+        never fail: a_1 >= 1 and no letter is negative, and it declares
+        no bound.  So where its scan fails, only U(k + 1) is built, for
+        N_k.
         """
         _, fails_at = self.scan_generating_word(_integer(max_len, "max_len", 1) + 1)
         if fails_at is None:
             self.u(1)  # by (4), the only value that can still break
             return BertrandReport(max_len, max_len, None)
-        # a system whose values break anywhere up to max_len + 1 is
-        # rejected, whatever length its first violation has
-        self.u(max_len + 1)
+        if not isinstance(self.generator, BertrandRule):
+            # a system whose values break anywhere up to max_len + 1 is
+            # rejected, whatever length its first violation has
+            self.u(max_len + 1)
         k = fails_at - 1
-        m, n = self.lex_max(k), self.lex_max(k + 1)[:k]  # M_k = a_1..a_k, N_k
+        # M_k = a_1..a_k, read from the letters; N_k from rep(U(k + 1) - 1)
+        m, n = self.lex_max(k), self.lex_max(k + 1)[:k]
         prolonged, closed = _least_above(n, m, 0), _least_above(m, m, 1)
         if prolonged is not None and prolonged < closed:
             w, kind = prolonged, "prolongability"
@@ -307,25 +356,16 @@ class NumSys:
         """
         if limit is not None:
             _integer(limit, "limit", 0)
-        c, r = self._c, self._r
-        # the letters are the coefficients of (R - C)/(xR); past index
-        # start, each is a fixed function of the order letters before it
-        num = [x - y for x, y in itertools.zip_longest(r, c, fillvalue=0)][1:]
-        order, start = len(r) - 1, len(num)
-        a = []
-        q = 0  # the state of the walk of a_2 a_3 ... against a
+        order, start, a = self._order, self._start, self._a
         h, drop = 0, pow(_BASE, order, _PRIME)  # the fingerprint of the window
         saved, saved_at, power = None, start - 1, 1
-        for i, x in enumerate(itertools.islice(_coefficients(num, r, a), limit), 1):
-            if a:
-                q = walk_step(a, q, x)
-            if x < 0 or q is None:
+        for i in itertools.count(1) if limit is None else range(1, limit + 1):
+            if len(self._passing(i)) < i:
                 return None, i
-            a.append(x)
-            h = (h * _BASE + x - (a[i - order - 1] * drop if i > order else 0)) % _PRIME
+            h = (h * _BASE + a[i - 1] - (a[i - order - 1] * drop if i > order else 0)) % _PRIME
             if i < start:
                 continue
-            if h == saved and a[i - order :] == a[saved_at - order : saved_at]:
+            if h == saved and a[i - order : i] == a[saved_at - order : saved_at]:
                 # the windows repeat from saved_at on, so the letters do
                 # from the first letter of the saved window on
                 word = epword(a[: saved_at - order], a[saved_at - order : i - order])

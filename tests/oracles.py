@@ -190,6 +190,19 @@ def member_direct(s: NumSys, w) -> bool:
     return stripped == s.rep(s.val(stripped))
 
 
+def greatest_by_rep(s: NumSys, i: int) -> DigitWord:
+    """rep(U(i) - 1) padded with zeros to length i: the greatest member
+    of length i, from the greedy representation and not from the
+    generating word."""
+    w = s.rep(s.u(i) - 1)
+    return (0,) * (i - len(w)) + w
+
+
+def member_by_suffixes(s: NumSys, w) -> bool:
+    """Membership by the suffix criterion against greatest_by_rep."""
+    return suffixes_at_most(w, lambda i: greatest_by_rep(s, i))
+
+
 def letter_bound(s: NumSys, length: int) -> int:
     """The largest letter of a member of length at most `length`.
 
@@ -197,7 +210,7 @@ def letter_bound(s: NumSys, length: int) -> int:
     most the first letter of the greatest member of that suffix's length;
     and that first letter occurs.  So the bound is exact.
     """
-    return max((s.lex_max(j)[0] for j in range(1, length + 1)), default=0)
+    return max((greatest_by_rep(s, j)[0] for j in range(1, length + 1)), default=0)
 
 
 def count_length(s: NumSys, i: int) -> int:
@@ -214,7 +227,7 @@ def count_length(s: NumSys, i: int) -> int:
     if i == 0:
         return 1
     alphabet = range(letter_bound(s, i) + 1)
-    bounds = {length: s.lex_max(length) for length in range(1, i + 1)}
+    bounds = {length: greatest_by_rep(s, length) for length in range(1, i + 1)}
     # states: frozenset of matched lengths (ages) of still-tight suffixes
     states = {frozenset(): 1}
     for p in range(1, i + 1):
@@ -250,12 +263,13 @@ def members_by_length(s: NumSys, max_len: int) -> list:
 
     Built by prepending letters: the language is closed under taking
     suffixes, so a word belongs to level L+1 exactly when its tail
-    lies in level L and the whole word is at most lex_max(L+1).
+    lies in level L and the whole word is at most the greatest member of
+    length L+1 (greatest_by_rep).
     """
     alphabet = range(letter_bound(s, max_len) + 1)
     levels = [{()}]
     for length in range(1, max_len + 1):
-        bound = s.lex_max(length)
+        bound = greatest_by_rep(s, length)
         level = set()
         for tail in levels[-1]:
             for c in alphabet:
@@ -342,7 +356,7 @@ def first_violation_by_search(s: NumSys, max_len: int):
     else:
         return max_len, None
     k = i - 1
-    m, n = s.lex_max(k), s.lex_max(k + 1)[:k]
+    m, n = greatest_by_rep(s, k), greatest_by_rep(s, k + 1)[:k]
     w, kind = min(
         (w, kind)
         for w, kind in (
@@ -369,7 +383,7 @@ def bertrand_holds_up_to(s: NumSys, max_len: int) -> int:
     """holds_up_to of the Bertrand condition from the greatest words,
     length by length, without the generating word.
 
-    With M_k = lex_max(k), N_k the first k letters of M_{k+1} and G_k the
+    With M_k = greatest_by_rep(s, k), N_k the first k letters of M_{k+1} and G_k the
     length-k words whose every suffix s has s <= N_{|s|} (w0 is a member
     exactly when w lies in G_k), the condition holds at length k, given
     it at every shorter length, exactly when M_k <= N_k and
@@ -380,8 +394,8 @@ def bertrand_holds_up_to(s: NumSys, max_len: int) -> int:
     top = letter_bound(s, max_len + 1)  # the letters of every N_k
     prolonged = [()]  # N_j at index j
     for k in range(1, max_len + 1):
-        prolonged.append(s.lex_max(k + 1)[:k])
-        m = s.lex_max(k)
+        prolonged.append(greatest_by_rep(s, k + 1)[:k])
+        m = greatest_by_rep(s, k)
         if not (m <= prolonged[k] and greatest_word(k, top, prolonged.__getitem__) <= m):
             return k
     return max_len

@@ -18,7 +18,7 @@ from bertrandnum import (
 )
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import overlaps
+from oracles import greatest_by_rep, overlaps
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,8 @@ def test_lexmax_identity_for_bertrand_fixtures(phi, phi2):
     ]
     for s, word in cases:
         for i in range(31):
+            # rep(U(i) - 1) itself, not the generating word lex_max walks
+            assert greatest_by_rep(s, i) == word.prefix(i)
             assert s.lex_max(i) == word.prefix(i)
 
 

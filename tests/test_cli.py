@@ -1,14 +1,20 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bertrandnum import format_word, parse_base
+from bertrandnum import build_bertrand, format_word, parse_base, renewal_empirical, renewal_target
+from bertrandnum.numsys import parse_system
+from bertrandnum.words import parse_word
 from bertrandnum.cli import main
 
 from conftest import FIXTURES, load_system
@@ -587,3 +593,85 @@ def test_module_entry_point_exit_codes(argv, code, stdout):
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == stdout
+
+
+@contextlib.contextmanager
+def any_digits():
+    """Lift the interpreter's limit on int-text conversion, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def run_with_the_default_limit(capsys, *argv):
+    """run, checking that the command leaves the caller's limit as it was."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    result = run(capsys, *argv)
+    assert limit is None or sys.get_int_max_str_digits() == limit
+    return result
+
+
+def test_a_value_of_more_than_4300_digits_is_printed(capsys):
+    word = "1" + "0" * 9100
+    code, out, err = run_with_the_default_limit(capsys, "val", "--system", "bertrand:3", "--word", word)
+    with any_digits():
+        expected = str(parse_system("bertrand:3").val(parse_word(word)))
+    assert (code, out, err) == (0, expected, "")
+    assert len(out) > 4300
+
+
+def test_build_prints_values_of_more_than_4300_digits(capsys):
+    code, out, err = run_with_the_default_limit(
+        capsys, "build", "--beta", "int:3", "--variant", "canonical", "--count", "9100")
+    s = build_bertrand(parse_base("int:3"), "canonical")
+    values = out.split()
+    with any_digits():
+        assert (code, err, len(values), values[-1]) == (0, "", 9100, str(s.u(9099)))
+    assert len(values[-1]) > 4300
+
+
+def test_analyze_prints_exact_ends_of_more_than_4300_digits(capsys):
+    argv = ["analyze", "--system", str(FIXTURES / "zeckendorf.json"), "--beta", "parry:11", "--imax", "600"]
+    code, out, err = run_with_the_default_limit(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    base = parse_base("parry:11")
+    renewal_target(base, "canonical")  # refines the cell as analyze does before its empirical ends
+    empirical = renewal_empirical(load_system("zeckendorf"), base, 600)[-1]
+    with any_digits():
+        printed = json.loads(out)["empirical_interval"]
+        assert (printed["lo"], printed["hi"]) == (str(empirical.lo), str(empirical.hi))
+    assert len(printed["lo"]) > 4300
+    code, out, err = run_with_the_default_limit(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"empirical U(i)/beta^i in [{float(empirical.lo)}, {float(empirical.hi)}]" in out
+
+
+def test_rep_takes_an_integer_of_5000_digits(capsys):
+    with any_digits():
+        n = int("7" * 5000)
+    code, out, err = run_with_the_default_limit(capsys, "rep", "--system", "bertrand:3", "--n", "7" * 5000)
+    assert (code, out, err) == (0, format_word(parse_system("bertrand:3").rep(n)), "")
+
+
+def printed(*argv):
+    """The exit code and stdout of the CLI, without a pytest fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue().strip()
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(4300, 6000), st.integers(0, 2**32))
+def test_val_of_rep_prints_the_integer_back(digits, seed):
+    rng = random.Random(seed)
+    text = str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(digits - 1))
+    code, word = printed("rep", "--system", "bertrand:3", "--n", text)
+    assert code == 0
+    assert printed("val", "--system", "bertrand:3", "--word", word) == (0, text)

@@ -29,8 +29,10 @@ from oracles import (
     count_length,
     first_failing_letter,
     first_violation_by_search,
+    greatest_by_rep,
     letter_bound,
     letters_of_values,
+    member_by_suffixes,
     member_direct,
     members_by_length,
     recurrence_values,
@@ -341,6 +343,78 @@ def test_check_bertrand_matches_greatest_words(data, max_len):
             NumSys.from_json(data).check_bertrand(max_len)
         return
     assert NumSys.from_json(data).check_bertrand(max_len).holds_up_to == expected
+
+
+def _rule_json(word):
+    return {"bertrand": {"word": format_epword(word)}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(system_jsons(), recurrence_systems(), parry_words.map(_rule_json)), st.data())
+def test_walk_membership_matches_the_suffix_criterion(data, draw):
+    # member and lex_max walk the generating word up to the index where its
+    # scan fails, and go through rep from there on; the oracles read every
+    # greatest word through rep.  The lengths lie on both sides of that index
+    try:
+        s, ref = NumSys.from_json(data), NumSys.from_json(data)
+    except NumerationError:
+        assume(False)
+    _, fails_at = NumSys.from_json(data).scan_generating_word(12)
+    centre = 6 if fails_at is None else fails_at
+    length = draw.draw(st.integers(max(0, centre - 4), centre + 4))
+    tails = draw.draw(st.lists(st.lists(st.integers(0, 3), min_size=length, max_size=length),
+                               min_size=3, max_size=3))
+    try:
+        greatest = [greatest_by_rep(ref, i) for i in range(length + 1)]
+    except NumerationError as exc:
+        # the values break within the length: both paths reject the system
+        for check in (lambda: s.lex_max(length), lambda: s.member(tuple(tails[0]))):
+            with pytest.raises(NumerationError, match=re.escape(str(exc))):
+                check()
+        return
+    assert [s.lex_max(i) for i in range(length + 1)] == greatest
+    for tail in tails:
+        # the greatest word kept up to a cut, the next letter moved by -1..1
+        p, bump = draw.draw(st.integers(0, length)), draw.draw(st.integers(-1, 1))
+        g = greatest[length]
+        w = g if p == length else g[:p] + (max(g[p] + bump, 0),) + tuple(tail[p + 1 :])
+        for word in (w, tuple(tail)):
+            expected = member_by_suffixes(ref, word)
+            assert s.member(word) == expected, (data, word)
+            if ref.val(word) < ref.u(length):  # otherwise it is no member
+                assert member_direct(ref, word) == expected, (data, word)
+            else:
+                assert not expected
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["bertrand:110(1)", "bertrand:(3" + "1" * 40 + "2)"])
+def test_walk_membership_on_long_words(name):
+    # words of length 120 to 160 next to the greatest word, where the walk
+    # covers every suffix of a Bertrand system and the shorter ones of the rest
+    s = load_system(name) if name in ALL_FIXTURES else parse_system(name)
+    ref = copy.copy(s)  # a fresh system: its values are rebuilt, it has read no letter
+    rng = random.Random(name)
+    for length in (120, 141, 160):
+        g = greatest_by_rep(ref, length)
+        assert s.lex_max(length) == g
+        for _ in range(4):
+            p = rng.randrange(length)
+            w = g[:p] + (max(g[p] + rng.choice((-1, 1)), 0),) + g[p + 1 :]
+            assert s.member(w) == member_by_suffixes(ref, w), (name, w)
+
+
+def test_a_failing_bertrand_rule_builds_values_only_through_the_witness(monkeypatch):
+    # the values of a Bertrand rule always increase, so its violation needs
+    # U(k + 1) only: before, max_len 200000 built every value through
+    # U(200001) and ran out of memory
+    extended = []
+    extend = NumSys._extend
+    monkeypatch.setattr(NumSys, "_extend", lambda self: extended.append(1) or extend(self))
+    report = parse_system("bertrand:12").check_bertrand(200_000)
+    assert (report.holds_up_to, report.first_violation) == (1, Violation((2, 0), "prefix-closure"))
+    res = classify_bertrand(parse_system("bertrand:12"), 200_000)
+    assert (res.case, res.witness) == ("not_bertrand", Violation((2, 0), "prefix-closure"))
+    assert len(extended) <= 4
 
 
 @settings(max_examples=150, deadline=None)
