@@ -133,18 +133,20 @@ def entropy_estimates(obj, i_max: int) -> EntropyReport:
     Returns both the defining estimator log(count(i))/i and the ratio
     estimator log(count(i)/count(i-1)); both tend to the same limit (the
     log of the growth rate) and the ratio form converges much faster.
-    Counts come from exact transition-matrix powering for automata and
-    from the value sequence for numeration systems (the number of
-    length-i words in the language equals U(i)).
+    Counts come from one pass of exact vector steps for automata, which
+    gives count(i_max - 1) on its way to count(i_max), and from the value
+    sequence for numeration systems (the number of length-i words in the
+    language equals U(i)).
     """
     _integer(i_max, "i_max", 2)
     if isinstance(obj, Dfa):
-        count = obj.count_accepted
+        c_last = obj.count_accepted(i_max)
+        short, c_prev = obj._short  # count(i_max - 1), kept by that pass
+        assert short == i_max - 1
     elif isinstance(obj, NumSys):
-        count = obj.u
+        c_last, c_prev = obj.u(i_max), obj.u(i_max - 1)
     else:
         raise NumerationError(f"cannot count words of {obj!r}")
-    c_last, c_prev = count(i_max), count(i_max - 1)
     return EntropyReport(
         i_max,
         c_last,

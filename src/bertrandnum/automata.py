@@ -43,6 +43,7 @@ class Dfa:
             if not (0 <= _integer(q, "a state") < n and 0 <= _integer(t, "a state") < n):
                 raise NumerationError(f"transition ({q},{c})->{t} out of range")
             _integer(c, "a letter", 0)
+        self._short = None  # (length, count) one step short of the last pass
 
     def accepts(self, w: DigitWord) -> bool:
         q = self.initial
@@ -53,15 +54,21 @@ class Dfa:
         return q in self.finals
 
     def count_accepted(self, length: int) -> int:
-        """Number of accepted words of the given length (exact big ints)."""
+        """Number of accepted words of the given length (exact big ints).
+
+        One pass of exact vector steps, one per letter.  The pass keeps the
+        count one step short of its end in _short, where entropy_estimates
+        reads count(length - 1) without a second pass."""
+        n = _integer(length, "length", 0)
         vec = [0] * self.num_states
         vec[self.initial] = 1
-        for _ in range(_integer(length, "length", 0)):
-            nxt = [0] * self.num_states
+        prev = vec
+        for _ in range(n):
+            prev, vec = vec, [0] * self.num_states
             for (q, _), t in self.transitions.items():
-                if vec[q]:
-                    nxt[t] += vec[q]
-            vec = nxt
+                if prev[q]:
+                    vec[t] += prev[q]
+        self._short = (n - 1, sum(prev[q] for q in self.finals))
         return sum(vec[q] for q in self.finals)
 
     # -- normal forms -----------------------------------------------------------

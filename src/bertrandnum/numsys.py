@@ -48,7 +48,6 @@ from .words import (
     format_epword,
     is_parry_valid,
     parse_epword,
-    suffixes_at_most,
     walk,
     walk_step,
 )
@@ -207,16 +206,14 @@ class NumSys:
         """rep(U(i) - 1) padded to length i: the lexicographically greatest
         member of length i.  While the scan passes a_1..a_i, that is
         a_1..a_i (check_bertrand, part 1), and by part (4) only U(1) can
-        break; rep is run only from the failing index on."""
+        break; the greedy digits are read only from the failing index on."""
         a = self._passing(_integer(i, "i", 0))
         if len(a) >= i:
             self.u(min(i, 1))
             return tuple(a[:i])
         cached = self._lexmax.get(i)
         if cached is None:
-            w = self.rep(self.u(i) - 1)
-            cached = (0,) * (i - len(w)) + w
-            self._lexmax[i] = cached
+            cached = self._lexmax[i] = tuple(self._greatest_digits(i))
         return cached
 
     def member(self, w) -> bool:
@@ -225,8 +222,9 @@ class NumSys:
         By the suffix criterion, every suffix of w must be at most,
         lexicographically, the greatest member of its length.  Suffixes
         at or past the index where the scan of the generating word fails
-        are compared with lex_max, longest first; the last k letters,
-        with a_1..a_k passing the scan, are one walk against a_1..a_k.
+        are compared with the greedy digits of U(i) - 1, longest first;
+        the last k letters, with a_1..a_k passing the scan, are one walk
+        against a_1..a_k.
         """
         for d in w:
             _integer(d, "a digit", 0)
@@ -234,10 +232,26 @@ class NumSys:
         n = len(w)
         a = self._passing(n)
         k = min(n, len(a))
-        if not suffixes_at_most(w, self.lex_max, k + 1):
+        if not all(self._at_most_greatest(w, p) for p in range(n - k)):
             return False
         self.u(min(n, 1))
         return len(walk(a, w[n - k :])) == k + 1
+
+    def _at_most_greatest(self, w: DigitWord, p: int) -> bool:
+        """w[p:] <= lex_max(len(w) - p), reading its digits only up to the
+        first that differs from w: no word of length i is built."""
+        for x, d in zip(itertools.islice(w, p, None), self._greatest_digits(len(w) - p)):
+            if x != d:
+                return x < d
+        return True
+
+    def _greatest_digits(self, i: int):
+        """The greedy digits of U(i) - 1, leading zeros included, one at a
+        time: past the failing index, the letters of lex_max(i)."""
+        r = self.u(i) - 1
+        for j in range(i - 1, -1, -1):
+            d, r = divmod(r, self.u(j))
+            yield d
 
     def _passing(self, n: int) -> list:
         """The letters a_1, a_2, ... of the generating word read so far,

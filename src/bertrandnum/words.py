@@ -185,8 +185,8 @@ def is_parry_valid(d: EPWord, strict: bool = True) -> bool:
     return len(walk(head, head[1:])) == len(head) and not (strict and d.purely_periodic)
 
 
-def suffixes_at_most(w: DigitWord, greatest, shortest: int = 1) -> bool:
-    """Every suffix s of w with |s| >= shortest has s <= greatest(len(s)).
+def suffixes_at_most(w: DigitWord, greatest) -> bool:
+    """Every suffix s of w has s <= greatest(len(s)).
 
     The suffix criterion (Parry 1960): with the greatest members of each
     length it decides a numeration language, with the prefixes of an
@@ -196,7 +196,7 @@ def suffixes_at_most(w: DigitWord, greatest, shortest: int = 1) -> bool:
     """
     w = tuple(w)
     n = len(w)
-    for i in range(n, shortest - 1, -1):
+    for i in range(n, 0, -1):
         if w[n - i :] > greatest(i):
             return False
     return True

@@ -4,6 +4,7 @@ library against.  None of them is on a path the library itself uses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -504,6 +505,12 @@ class EquivReport:
 def dfa_alphabet(dfa: Dfa) -> tuple:
     """The letters on the edges of an automaton, ascending."""
     return tuple(sorted({c for (_, c) in dfa.transitions}))
+
+
+def count_by_enumeration(dfa: Dfa, length: int) -> int:
+    """The accepted words of one length, counted by trying every word over
+    the automaton's letters."""
+    return sum(map(dfa.accepts, itertools.product(dfa_alphabet(dfa), repeat=length)))
 
 
 def dfa_equiv_language(dfa: Dfa, s: NumSys, max_len: int) -> EquivReport:

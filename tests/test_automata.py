@@ -1,21 +1,33 @@
+import copy
 import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bertrandnum import (
     Dfa,
+    NumerationError,
     RealBase,
     base_from_expansion,
     build_bertrand,
     build_shift_dfa,
+    entropy_estimates,
     epword,
     is_parry_valid,
+    parse_base,
 )
 from bertrandnum.cli import main
 
 from conftest import golden_ratio, golden_ratio_squared, load_system, tribonacci
-from oracles import dfa_alphabet, dfa_equiv_language, isomorphic_to, minimized, shift_dfa_reference
+from oracles import (
+    count_by_enumeration,
+    dfa_alphabet,
+    dfa_equiv_language,
+    isomorphic_to,
+    minimized,
+    shift_dfa_reference,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -130,10 +142,91 @@ def test_count_examples():
 def test_count_matches_enumeration():
     a = fig_2b()
     for i in range(9):
-        by_enum = sum(
-            1 for w in itertools.product(range(2), repeat=i) if a.accepts(w)
-        )
-        assert a.count_accepted(i) == by_enum
+        assert a.count_accepted(i) == count_by_enumeration(a, i)
+
+
+@st.composite
+def random_dfas(draw):
+    n = draw(st.integers(1, 6))
+    states, letters = st.integers(0, n - 1), st.integers(0, 3)
+    trans = draw(st.dictionaries(st.tuples(states, letters), states, max_size=4 * n))
+    return Dfa(n, draw(states), trans, draw(st.frozensets(states)))
+
+
+def fresh_count(dfa, length):
+    return Dfa(dfa.num_states, dfa.initial, dict(dfa.transitions), dfa.finals).count_accepted(length)
+
+
+def fresh_counts(dfa, length, entropy):
+    # entropy_estimates counts length and length - 1
+    lengths = (length, length - 1) if entropy else (length,)
+    return tuple(fresh_count(dfa, n) for n in lengths)
+
+
+def counts_of(dfa, length, entropy):
+    if not entropy:
+        return (dfa.count_accepted(length),)
+    try:
+        report = entropy_estimates(dfa, length)
+    except NumerationError:  # a count of 0 has no log
+        return None
+    return report.count_last, report.count_prev
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    random_dfas(),
+    st.integers(0, 60),
+    st.lists(st.tuples(st.sampled_from((0, -1, 1, 3, -2)), st.booleans()), max_size=8),
+)
+def test_count_in_any_call_order(dfa, length, moves):
+    # count_accepted and entropy_estimates, called in any order and at any
+    # length, give the counts of a fresh automaton and, where the words are
+    # few, the counts by enumeration; a longer pass before an entropy
+    # estimate does not leave it a stale short count
+    letters = max(len(dfa_alphabet(dfa)), 1)
+    calls = [(0, False), (-1, False), (3, False), (0, False), (0, False)]
+    calls += [(1, False), (0, True), (1, True), (0, True)] + moves
+    for m, entropy in calls:
+        n = length + m
+        if n < (2 if entropy else 0):
+            continue
+        got, want = counts_of(dfa, n, entropy), fresh_counts(dfa, n, entropy)
+        assert got == (None if entropy and 0 in want else want), (n, entropy)
+        if got and letters**n <= 4096:
+            assert got[0] == count_by_enumeration(dfa, n), n
+
+
+def test_entropy_estimate_after_a_longer_pass():
+    spec = parse_base("poly:1,-6,-2,9,-2,-6,1@(1,10)")
+    want = tuple(fresh_count(build_shift_dfa(spec, "canonical"), n) for n in (10, 9))
+    for before in (lambda d: d.count_accepted(11), lambda d: entropy_estimates(d, 11)):
+        dfa = build_shift_dfa(spec, "canonical")
+        before(dfa)
+        report = entropy_estimates(dfa, 10)
+        assert (report.count_last, report.count_prev) == want
+
+
+class _CountedSteps(dict):
+    """Transitions that count the passes over their edges: one per step."""
+
+    steps = 0
+
+    def items(self):
+        self.steps += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("spec", ["parry:2(1)", "poly:1,-6,-2,9,-2,-6,1@(1,10)"])
+def test_entropy_estimate_is_one_pass(spec):
+    # count(i_max - 1) is read on the way to count(i_max): i_max steps, not
+    # the 2 i_max - 1 of two passes
+    dfa = build_shift_dfa(parse_base(spec), "canonical")
+    fresh = copy.copy(dfa)
+    dfa.transitions = _CountedSteps(dfa.transitions)
+    report = entropy_estimates(dfa, 300)
+    assert dfa.transitions.steps == 300
+    assert (report.count_last, report.count_prev) == (fresh.count_accepted(300), fresh_count(fresh, 299))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -401,6 +402,51 @@ def test_walk_membership_on_long_words(name):
             p = rng.randrange(length)
             w = g[:p] + (max(g[p] + rng.choice((-1, 1)), 0),) + g[p + 1 :]
             assert s.member(w) == member_by_suffixes(ref, w), (name, w)
+
+
+NON_BERTRAND = ["ex31_not_prolongable", "ex31_not_prefix_closed", "ex53_oscillating", "bertrand:12"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(NON_BERTRAND), st.data())
+def test_member_past_the_failing_index_matches_the_suffix_criterion(name, draw):
+    # past the failing index each suffix is compared with the greedy digits
+    # of U(i) - 1 up to the first that differs; the oracles build every
+    # greatest word through rep
+    s = load_system(name) if name in ALL_FIXTURES else parse_system(name)
+    ref = copy.copy(s)
+    _, fails_at = copy.copy(s).scan_generating_word(40)
+    length = draw.draw(st.integers(fails_at + 1, fails_at + 40))
+    greatest = [greatest_by_rep(ref, i) for i in range(length + 1)]
+    g, top = greatest[length], max(greatest[length])
+    letters = st.integers(0, top + 1)
+    p, bump = draw.draw(st.integers(0, length - 1)), draw.draw(st.integers(-1, 1))
+    tail = draw.draw(st.sampled_from(["random", "greatest"]))
+    rest = (
+        draw.draw(st.lists(letters, min_size=length - p - 1, max_size=length - p - 1))
+        if tail == "random"
+        else greatest[length - p - 1]
+    )
+    near = g[:p] + (max(g[p] + bump, 0),) + tuple(rest)
+    anywhere = tuple(draw.draw(st.lists(letters, min_size=length, max_size=length)))
+    for w in (g, near, anywhere):
+        assert s.member(w) == member_by_suffixes(ref, w), (name, w)
+    assert [s.lex_max(i) for i in range(length + 1)] == greatest
+
+
+def test_member_past_the_failing_index_keeps_no_word_per_length():
+    # before, each suffix length past index 4 kept its padded greatest word:
+    # 5.5 s and 155 MB for this word of 6000 letters
+    s = load_system("ex53_oscillating")
+    w = (1, 0) * 3000
+    tracemalloc.start()
+    try:
+        assert s.member(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, peak
+    assert not s._lexmax
 
 
 def test_a_failing_bertrand_rule_builds_values_only_through_the_witness(monkeypatch):
