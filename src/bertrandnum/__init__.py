@@ -32,7 +32,6 @@ _LAYERS = {
         "parse_epword",
         "parse_word",
         "quasi_to_greedy",
-        "suffixes_at_most",
     ),
     "realbase": (
         "ParryClass",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import DEFAULT_DEPTH
 from .automata import Dfa
@@ -184,6 +185,9 @@ class LexMaxConvergenceReport:
 def lexmax_convergence_probe(
     s: NumSys, base: RealBase, ell: int, i_max: int
 ) -> LexMaxConvergenceReport:
+    """The rows of `LexMaxConvergenceReport` for i = 1..i_max.  Each
+    greatest word is read only as far as it is compared, so past the
+    system's failing index no word of length i is built or kept."""
     _integer(i_max, "i_max", _integer(ell, "ell", 1))
     d = base.require_parry(max(DEFAULT_DEPTH, ell + i_max))
     dstar = quasi_greedy_of(d)
@@ -196,7 +200,8 @@ def lexmax_convergence_probe(
             prefixes.append((w + (0,) * ell)[:ell])
         rows = []
         for i in range(1, i_max + 1):
-            x = (s.lex_max(i) + (0,) * ell)[:ell]
+            x = tuple(islice(s._greatest(i), ell))
+            x += (0,) * (ell - len(x))
             k = next((k for k, p in enumerate(prefixes) if p == x), None)
             rows.append((i, k))
         window = [k for i, k in rows if i >= ell]
@@ -213,10 +218,10 @@ def lexmax_convergence_probe(
         return LexMaxConvergenceReport("simple", ell, i_max, rows, stabilized, limit)
     rows = []
     for i in range(1, i_max + 1):
-        w = s.lex_max(i)
-        ref = d.prefix(i)
         lcp = 0
-        while lcp < i and w[lcp] == ref[lcp]:
+        for x in s._greatest(i):
+            if x != d.digit(lcp):
+                break
             lcp += 1
         rows.append((i, lcp))
     window_ok = all(lcp >= ell for i, lcp in rows if i >= ell)

@@ -207,10 +207,8 @@ class NumSys:
         member of length i.  While the scan passes a_1..a_i, that is
         a_1..a_i (check_bertrand, part 1), and by part (4) only U(1) can
         break; the greedy digits are read only from the failing index on."""
-        a = self._passing(_integer(i, "i", 0))
-        if len(a) >= i:
-            self.u(min(i, 1))
-            return tuple(a[:i])
+        if len(self._passing(_integer(i, "i", 0))) >= i:
+            return tuple(self._greatest(i))
         cached = self._lexmax.get(i)
         if cached is None:
             cached = self._lexmax[i] = tuple(self._greatest_digits(i))
@@ -244,6 +242,15 @@ class NumSys:
             if x != d:
                 return x < d
         return True
+
+    def _greatest(self, i: int):
+        """The letters of lex_max(i), one at a time, for a reader that
+        stops early: past the failing index nothing is kept."""
+        a = self._passing(i)
+        if len(a) >= i:
+            self.u(min(i, 1))
+            return itertools.islice(a, i)
+        return self._greatest_digits(i)
 
     def _greatest_digits(self, i: int):
         """The greedy digits of U(i) - 1, leading zeros included, one at a

@@ -15,9 +15,13 @@ Digits of the expansion of 1 come from one exact engine for every base.
   enclosure of beta, which is bisected until both ends of the value's
   enclosure share their integer part, or until the upper one is exactly
   the value (a gcd with p locates the common root).  That exact-zero test
-  is asked at most once per floor: its answer is the same on every cell
-  that isolates beta (`_is_exactly`), and once the two floors are
-  adjacent the upper one stays the only candidate.  The evaluation is in
+  is asked at most once per floor, and only when `TEST_AFTER` halvings
+  after the two floors first became adjacent have not separated them:
+  its answer is the same on every cell that isolates beta
+  (`_is_exactly`), and a yes puts back the cell of the first adjacency,
+  so digits and cells are those of a test asked at once.  Only a
+  non-minimal p can answer yes: at a minimal one a value that is an
+  integer has no beta terms and is floored exactly.  The evaluation is in
   integers: the accumulator's ends are integers over den^j, the signs of
   the accumulator pick the ends of each product with beta, and the floors
   are integer floor divisions.  Its ends are the rationals a `Fraction`
@@ -89,6 +93,9 @@ from .words import (
 )
 
 REFINEMENT_BUDGET = 256  # bisections allowed per floor extraction
+# halvings after a floor's two candidates first become adjacent before
+# the exact-zero test is asked; most floors separate within them
+TEST_AFTER = 6
 
 # The key of a remainder in the repeat table.  Only a hint: equal keys are
 # confirmed exactly, so any function of the remainder to a signed 64-bit
@@ -367,23 +374,37 @@ class RealBase:
 
         The enclosures of s(beta) are nested, so once the floors of their
         ends are adjacent, the upper one is the only candidate for an exact
-        integer until they meet; `_is_exactly` gives the same answer on
-        every cell, so it is asked once per floor.
+        integer until they meet.  Both ends differ from s(beta), since they
+        are values at corners of the cell of a form linear in each copy of
+        beta, so floors that meet prove s(beta) no integer.  Halving goes
+        on, and `_is_exactly` is asked at most once, only if the floors are
+        still adjacent `TEST_AFTER` halvings later (or in the last round of
+        the budget, so no floor runs out of budget for want of the test).
+        Its answer is the same on every cell, and a yes puts back the cell
+        of the first adjacency, so the digits and cells are those of a test
+        asked at once.  A yes needs a non-minimal polynomial: at a minimal
+        one, a value that is an integer has no beta terms.
         """
         den = s[-1]
         if not any(s[1:-1]):
             q, r = divmod(s[0], den)
             return q, r == 0
+        first = None  # (a, b, den, level) at the first adjacency
         tested = False
-        for _ in range(REFINEMENT_BUDGET):
+        last = REFINEMENT_BUDGET - 1
+        for rnd in range(REFINEMENT_BUDGET):
             p, q, scale = self._eval_ends(s)
             flo, fhi = p // (scale * den), q // (scale * den)
             if flo == fhi:
                 return flo, False
             if fhi == flo + 1 and not tested:
-                if self._is_exactly(s, fhi):
-                    return fhi, True
-                tested = True
+                if first is None:
+                    first = (self._a, self._b, self._den, self._level)
+                if self._level - first[3] >= TEST_AFTER or rnd == last:
+                    if self._is_exactly(s, fhi):
+                        self._a, self._b, self._den, self._level = first
+                        return fhi, True
+                    tested = True
             self._bisect(1)
         raise RefinementBudgetError(
             "interval refinement did not separate a floor boundary"

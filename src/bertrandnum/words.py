@@ -144,9 +144,10 @@ def walk_step(a, q: int, x: int) -> int | None:
     This is the one comparison of a letter with a bound behind the
     domination tests.  When every factor of a is at most the prefix of a
     of the same length, the walk from 0 accepts a word w with |w| <= |a|
-    exactly when suffixes_at_most(w, lambda j: a[:j]): a smaller letter
-    ends every match, since each border a[:r] of a[:q] is followed in a
-    by a letter at least a[q] (Parry 1960).
+    exactly when every suffix s of w has s <= a[:len(s)] (the suffix
+    criterion): a smaller letter ends every match, since each border
+    a[:r] of a[:q] is followed in a by a letter at least a[q] (Parry
+    1960).
     """
     b = a[q]
     if x > b:
@@ -183,23 +184,6 @@ def is_parry_valid(d: EPWord, strict: bool = True) -> bool:
     d = _as_epword(d)
     head = d.prefix(2 * (len(d.pre) + len(d.per)))
     return len(walk(head, head[1:])) == len(head) and not (strict and d.purely_periodic)
-
-
-def suffixes_at_most(w: DigitWord, greatest) -> bool:
-    """Every suffix s of w has s <= greatest(len(s)).
-
-    The suffix criterion (Parry 1960): with the greatest members of each
-    length it decides a numeration language, with the prefixes of an
-    expansion of 1 the factors of a beta-shift.  Longer suffixes are
-    tried first: when a greedy search appends a letter that is too
-    large, the suffix that fails is usually the whole word.
-    """
-    w = tuple(w)
-    n = len(w)
-    for i in range(n, 0, -1):
-        if w[n - i :] > greatest(i):
-            return False
-    return True
 
 
 def quasi_to_greedy(a: EPWord) -> EPWord:

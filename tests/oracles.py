@@ -23,7 +23,6 @@ from bertrandnum import (
     expansion_polynomial,
     generating_word,
     quasi_greedy_of,
-    suffixes_at_most,
 )
 from bertrandnum import polynomials as pl
 from bertrandnum.intervals import Interval
@@ -178,6 +177,20 @@ def first_failing_letter(a: list) -> int | None:
         if a[i - 1] < 0 or any(a[s:i] > a[: i - s] for s in range(1, i)):
             return i
     return None
+
+
+def suffixes_at_most(w: DigitWord, greatest) -> bool:
+    """Every suffix s of w has s <= greatest(len(s)).
+
+    The suffix criterion (Parry 1960): with the greatest members of each
+    length it decides a numeration language, with the prefixes of an
+    expansion of 1 the factors of a beta-shift.  Longer suffixes are
+    tried first: when a greedy search appends a letter that is too
+    large, the suffix that fails is usually the whole word.
+    """
+    w = tuple(w)
+    n = len(w)
+    return all(w[n - i :] <= greatest(i) for i in range(n, 0, -1))
 
 
 def member_direct(s: NumSys, w) -> bool:
@@ -693,13 +706,16 @@ class FractionBisection:
     """The isolating interval of a root, bisected in Fractions: each level
     evaluates p by Horner's rule at the midpoint and again at the lower
     end, and keeps the half where the signs differ; a midpoint that is a
-    root collapses the interval to that point."""
+    root collapses the interval to that point.  `level` counts the
+    bisections."""
 
     def __init__(self, poly: pl.IntPoly, lo, hi):
         self.poly = poly
         self.lo, self.hi = Fraction(lo), Fraction(hi)
+        self.level = 0
 
     def bisect(self):
+        self.level += 1
         mid = (self.lo + self.hi) / 2
         s = _horner_sign(self.poly, mid)
         if s == 0:
@@ -733,11 +749,13 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
     Each remainder is a tuple of Fractions reduced modulo `poly`, a repeat
     is found by keying every exact remainder in a dict, and each floor is
     separated by Horner's rule over a bisected copy of the interval (a
-    rational root is its degenerate interval [q, q]).  Returns (word,
-    kind) in the shape of `ParryClass`: once a remainder vanishes or
-    repeats, the EPWord with "simple" when it ends in zeros and
-    "nonsimple" otherwise; else the first `depth` digits and
-    "unresolved".
+    rational root is its degenerate interval [q, q]).  The exact-zero
+    test is asked as soon as the two candidate floors are adjacent.
+    Returns (word, kind, level, cell): word and kind in the shape of
+    `ParryClass`, once a remainder vanishes or repeats the EPWord with
+    "simple" when it ends in zeros and "nonsimple" otherwise, else the
+    first `depth` digits and "unresolved"; then the number of
+    bisections made and the final interval (lo, hi).
     """
     n = pl.degree(poly)
     box = FractionBisection(poly, *interval)
@@ -765,21 +783,24 @@ def fraction_expansion(poly: pl.IntPoly, interval, depth: int):
             box.bisect()
         raise NumerationError("256 bisections did not separate a floor boundary")
 
-    rem = (Fraction(1),) + (Fraction(0),) * (n - 1)
-    seen = {rem: 0}
-    digits = []
-    while len(digits) < depth:
-        s = times_beta(rem)
-        e, exact = floor(s)
-        digits.append(e)
-        if exact:
-            return epword(tuple(digits), (0,)), "simple"
-        rem = (s[0] - e,) + s[1:]
-        if rem in seen:
-            j = seen[rem]
-            word = epword(tuple(digits[:j]), tuple(digits[j:]))
-            # a zero value with a nonzero vector (a non-minimal polynomial)
-            # repeats with period 0: the expansion is finite
-            return word, "simple" if word.zero_tail else "nonsimple"
-        seen[rem] = len(digits)
-    return tuple(digits), "unresolved"
+    def expansion():
+        rem = (Fraction(1),) + (Fraction(0),) * (n - 1)
+        seen = {rem: 0}
+        digits = []
+        while len(digits) < depth:
+            s = times_beta(rem)
+            e, exact = floor(s)
+            digits.append(e)
+            if exact:
+                return epword(tuple(digits), (0,)), "simple"
+            rem = (s[0] - e,) + s[1:]
+            if rem in seen:
+                j = seen[rem]
+                word = epword(tuple(digits[:j]), tuple(digits[j:]))
+                # a zero value with a nonzero vector (a non-minimal
+                # polynomial) repeats with period 0: the expansion is finite
+                return word, "simple" if word.zero_tail else "nonsimple"
+            seen[rem] = len(digits)
+        return tuple(digits), "unresolved"
+
+    return (*expansion(), box.level, (box.lo, box.hi))

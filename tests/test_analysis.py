@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from bertrandnum import (
     dominant_root_ratios,
     entropy_estimates,
     lexmax_convergence_probe,
+    parse_base,
+    quasi_greedy_of,
     renewal_empirical,
     renewal_target,
 )
@@ -188,6 +191,58 @@ def test_lexmax_probe_nonsimple_base(phi2, phi_squared_system):
 def test_lexmax_probe_requires_ell_at_most_imax(zeckendorf, phi):
     with pytest.raises(NumerationError):
         lexmax_convergence_probe(zeckendorf, phi, 10, 5)
+
+
+def probe_rows_by_rep(s: NumSys, base: RealBase, ell: int, i_max: int) -> list:
+    """The probe's rows from whole greatest words built by greatest_by_rep."""
+    d = base.require_parry(max(64, ell + i_max))
+    rows = []
+    if d.zero_tail:
+        stem = quasi_greedy_of(d).per
+        prefixes = [(stem * k + d.support + (0,) * ell)[:ell] for k in range(ell + 2)]
+        for i in range(1, i_max + 1):
+            x = (greatest_by_rep(s, i) + (0,) * ell)[:ell]
+            rows.append((i, prefixes.index(x) if x in prefixes else None))
+        return rows
+    for i in range(1, i_max + 1):
+        w, ref = greatest_by_rep(s, i), d.prefix(i)
+        rows.append((i, next((j for j in range(i) if w[j] != ref[j]), i)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "system, spec, ell",
+    [
+        ("zeckendorf", "parry:11", 6),
+        ("ex53_oscillating", "parry:11", 2),
+        ("ex53_oscillating", "parry:11", 6),
+        ("ex31_not_prolongable", "parry:11", 3),
+        ("phi_noncanonical", "parry:11", 6),
+        ("phi_squared", "parry:2(1)", 5),
+        ("ex53_oscillating", "parry:2(1)", 4),
+        ("base3_canonical", "int:3", 3),
+    ],
+)
+def test_lexmax_probe_rows_match_greatest_by_rep(system, spec, ell):
+    s, base = load_system(system), parse_base(spec)
+    report = lexmax_convergence_probe(s, base, ell, 60)
+    assert report.rows == probe_rows_by_rep(load_system(system), base, ell, 60)
+
+
+def test_lexmax_probe_keeps_no_greatest_word(ex53_oscillating):
+    # past the failing index each greatest word is read only as far as it
+    # is compared: no word is kept per length, so memory stays linear in
+    # i_max (a padded word per length peaked near 15 MB at i_max 2000)
+    base = parse_base("parry:11")
+    tracemalloc.start()
+    try:
+        report = lexmax_convergence_probe(ex53_oscillating, base, 2, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 4000 and not report.stabilized
+    assert ex53_oscillating._lexmax == {}
+    assert peak < 8 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_engine_finds_a_longer_parry_word(w):
     depth = len(w.pre) + len(w.per) + 1
     cls = base.parry_class(depth)
     assert cls.word == w
-    assert fraction_expansion(base.poly, (enc.lo, enc.hi), depth) == (w, cls.kind)
+    assert fraction_expansion(base.poly, (enc.lo, enc.hi), depth)[:2] == (w, cls.kind)
 
 
 def test_a_long_parry_word_needs_no_depth():
@@ -517,7 +517,7 @@ def oracle_class(base: RealBase, depth: int):
     """(word, kind) of the Fraction loop, with the certificate a
     non-integer rational base gets, whatever the degree of its polynomial."""
     enc = base.enclosure()
-    word, kind = fraction_expansion(base.poly, (enc.lo, enc.hi), depth)
+    word, kind, *_ = fraction_expansion(base.poly, (enc.lo, enc.hi), depth)
     rational = rational_roots_in(base.poly, enc.lo, enc.hi)
     if kind == "unresolved" and any(q.denominator > 1 for q in rational):
         kind = "not_parry"
@@ -637,21 +637,34 @@ def test_coarse_fingerprint_changes_no_answer(monkeypatch):
         assert make().parry_class(depth) == want, name
 
 
+# reducible spellings of simple Parry numbers, each with the final cell
+# (level, a, b, den): the remainder at the last digit is zero at beta with
+# beta terms, so only the exact-zero test can end the expansion
+REDUCIBLE_SIMPLE = {
+    "poly:1,-4,2,3@(1,2)": (2, 6, 7, 4),  # (X - 3)(X^2 - X - 1)
+    "poly:1,0,-5,-2@(2,3)": (1, 4, 5, 2),  # (X + 2)(X^2 - 2X - 1)
+    "poly:1,-6,4,4,5@(1,2)": (3, 14, 15, 8),
+    "poly:1,-1,0,-1,-1@(1,2)": (2, 6, 7, 4),  # (X^2 + 1)(X^2 - X - 1)
+}
+
+
 def test_one_exact_zero_test_per_floor(monkeypatch):
     # the answer of _is_exactly is the same on every cell, so a floor asks
-    # it at most once however many bisections it takes
+    # it at most once however many bisections it takes; a reducible
+    # spelling of a simple Parry number gets its one yes at its last
+    # digit, and the cell of the first adjacency is put back
     import bertrandnum.realbase as rb
 
     floor_vec, is_exactly = rb.RealBase._floor_vec, rb.RealBase._is_exactly
-    tests = []  # _is_exactly calls per _floor_vec
+    answers = []  # the answers of _is_exactly, one list per _floor_vec
 
     def counted_floor(self, s):
-        tests.append(0)
+        answers.append([])
         return floor_vec(self, s)
 
     def counted_test(self, s, m):
-        tests[-1] += 1
-        return is_exactly(self, s, m)
+        answers[-1].append(is_exactly(self, s, m))
+        return answers[-1][-1]
 
     monkeypatch.setattr(rb.RealBase, "_floor_vec", counted_floor)
     monkeypatch.setattr(rb.RealBase, "_is_exactly", counted_test)
@@ -659,8 +672,64 @@ def test_one_exact_zero_test_per_floor(monkeypatch):
         parse_base(spec).parry_class(2000)
     for _, make, depth in collision_cases():
         make().parry_class(depth)
-    assert max(tests) == 1
-    assert sum(tests) > 100
+    assert max(map(len, answers)) == 1
+    for spec, cell in REDUCIBLE_SIMPLE.items():
+        answers.clear()
+        base = parse_base(spec)
+        assert base.parry_class(2000).kind == "simple"
+        assert answers[-1] == [True]
+        assert not any(True in a for a in answers[:-1])
+        assert (base._level, base._a, base._b, base._den) == cell
+
+
+def test_exact_zero_test_waits_for_halving(monkeypatch):
+    # floors that halving separates within TEST_AFTER more levels ask no
+    # exact test: a minimal polynomial answers no every time
+    import bertrandnum.realbase as rb
+
+    calls = []
+    is_exactly = rb.RealBase._is_exactly
+    monkeypatch.setattr(
+        rb.RealBase, "_is_exactly", lambda self, s, m: calls.append(m) or is_exactly(self, s, m)
+    )
+    for spec in census_sextics()[::27]:
+        parse_base(spec).parry_class(2000)
+    assert len(calls) <= 20
+    calls.clear()
+    parse_base(UNRESOLVED_SEXTIC).parry_class(5000)
+    assert calls == []
+
+
+PARRY_WORDS = list(small_valid_expansions(max_total=5))
+
+
+@st.composite
+def reducible_parry_bases(draw):
+    """A strict Parry word's base spelled with its canonical polynomial
+    times a linear factor cX - k whose root lies outside the interval
+    (1, d_1 + 2) that isolates beta."""
+    w = draw(st.sampled_from(PARRY_WORDS))
+    hi = w.digit(0) + 2
+    c = draw(st.integers(1, 3))
+    k = draw(st.integers(-3 * c, c - 1) | st.integers(hi * c + 1, (hi + 3) * c))
+    return RealBase.algebraic(poly_mul(char_poly(w, "canonical"), (-k, c)), (1, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(census_sextics()).map(parse_base) | reducible_parry_bases(),
+    depth=st.integers(1, 600),
+)
+def test_digits_and_cell_are_the_fraction_loop_with_an_immediate_test(base, depth):
+    # the exact-zero test asked late gives the digits, the bisection level
+    # and the cell of the Fraction loop, which asks it at the first
+    # adjacency
+    enc = base.enclosure()
+    word, kind, level, cell = fraction_expansion(base.poly, (enc.lo, enc.hi), depth)
+    cls = base.parry_class(depth)
+    assert (cls.word, cls.kind) == (word, kind)
+    assert base._level == level
+    assert (Fraction(base._a, base._den), Fraction(base._b, base._den)) == cell
 
 
 def test_repeat_table_doubles_at_half_full():

@@ -15,11 +15,17 @@ from bertrandnum import (
     parse_epword,
     parse_word,
     quasi_to_greedy,
-    suffixes_at_most,
 )
 from bertrandnum.words import walk
 
-from oracles import greatest_word, least_word_above, lex_cmp, shift, shift_dominated
+from oracles import (
+    greatest_word,
+    least_word_above,
+    lex_cmp,
+    shift,
+    shift_dominated,
+    suffixes_at_most,
+)
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: compare digit streams position by position
